@@ -92,13 +92,13 @@ void CheckParity(Engine* engine, const LogicalOpPtr& query) {
   tuple_opts.exec.use_batch = false;
   AccessStats tuple_stats;
   tuple_opts.stats = &tuple_stats;
-  auto tuple = engine->Run(query, Span::Of(1, kSpanEnd), tuple_opts);
+  auto tuple = engine->Run({query, Span::Of(1, kSpanEnd)}, tuple_opts);
   SEQ_CHECK(tuple.ok());
   RunOptions batch_opts;
   batch_opts.exec.use_batch = true;
   AccessStats batch_stats;
   batch_opts.stats = &batch_stats;
-  auto batch = engine->Run(query, Span::Of(1, kSpanEnd), batch_opts);
+  auto batch = engine->Run({query, Span::Of(1, kSpanEnd)}, batch_opts);
   SEQ_CHECK(batch.ok());
   SEQ_CHECK(tuple->records.size() == batch->records.size());
   for (size_t i = 0; i < tuple->records.size(); ++i) {

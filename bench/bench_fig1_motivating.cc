@@ -25,7 +25,7 @@ void BM_SeqStreamPlan(benchmark::State& state) {
   size_t answers = 0;
   for (auto _ : state) {
     stats.Reset();
-    auto result = engine.Run(query, Span::Of(1, span), &stats);
+    auto result = engine.Run({query, Span::Of(1, span)}, {.stats = &stats});
     SEQ_CHECK(result.ok());
     answers = result->records.size();
     benchmark::DoNotOptimize(answers);

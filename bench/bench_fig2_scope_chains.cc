@@ -48,7 +48,7 @@ void BM_OperatorChain(benchmark::State& state) {
   AccessStats stats;
   for (auto _ : state) {
     stats.Reset();
-    auto result = engine.Run(query, Span::Of(1, kSpanEnd), &stats);
+    auto result = engine.Run({query, Span::Of(1, kSpanEnd)}, {.stats = &stats});
     SEQ_CHECK(result.ok());
     benchmark::DoNotOptimize(result->records.size());
   }

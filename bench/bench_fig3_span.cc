@@ -34,7 +34,7 @@ void RunFig3(benchmark::State& state, bool span_pushdown) {
   size_t answers = 0;
   for (auto _ : state) {
     stats.Reset();
-    auto result = engine.Run(query, range, &stats);
+    auto result = engine.Run({query, range}, {.stats = &stats});
     SEQ_CHECK(result.ok());
     answers = result->records.size();
     benchmark::DoNotOptimize(answers);

@@ -27,7 +27,7 @@ void RunCacheA(benchmark::State& state, bool disable_cache) {
   AccessStats stats;
   for (auto _ : state) {
     stats.Reset();
-    auto result = engine.Run(query, Span::Of(1, kSpanEnd), &stats);
+    auto result = engine.Run({query, Span::Of(1, kSpanEnd)}, {.stats = &stats});
     SEQ_CHECK(result.ok());
     benchmark::DoNotOptimize(result->records.size());
   }

@@ -36,7 +36,7 @@ void RunCacheB(benchmark::State& state, bool disable_incremental) {
   AccessStats stats;
   for (auto _ : state) {
     stats.Reset();
-    auto result = engine.Run(query, Span::Of(1, kSpanEnd), &stats);
+    auto result = engine.Run({query, Span::Of(1, kSpanEnd)}, {.stats = &stats});
     SEQ_CHECK(result.ok());
     benchmark::DoNotOptimize(result->records.size());
   }

@@ -42,8 +42,8 @@ void BM_RecomputePerQuery(benchmark::State& state) {
   for (auto _ : state) {
     stats.Reset();
     for (int k = 0; k < kQueries; ++k) {
-      auto result = engine.Run(Downstream(derived, k),
-                               Span::Of(1, kSpanEnd), &stats);
+      auto result = engine.Run({Downstream(derived, k), Span::Of(1, kSpanEnd)},
+                               {.stats = &stats});
       SEQ_CHECK(result.ok());
       benchmark::DoNotOptimize(result->records.size());
     }
@@ -63,9 +63,10 @@ void BM_MaterializeOnce(benchmark::State& state) {
     SEQ_CHECK(engine.Materialize("ma", DerivedGraph()).ok());
     for (int k = 0; k < kQueries; ++k) {
       auto result = engine.Run(
-          LogicalOp::Select(LogicalOp::BaseRef("ma"),
-                            Gt(Col("ma20"), Lit(90.0 + k))),
-          Span::Of(1, kSpanEnd), &stats);
+          {LogicalOp::Select(LogicalOp::BaseRef("ma"),
+                             Gt(Col("ma20"), Lit(90.0 + k))),
+           Span::Of(1, kSpanEnd)},
+          {.stats = &stats});
       SEQ_CHECK(result.ok());
       benchmark::DoNotOptimize(result->records.size());
     }

@@ -48,16 +48,6 @@ Query ShapeQuery(int64_t threshold, Position span_end = kSpanEnd) {
   return q;
 }
 
-/// The same query as Sequin text (compose is binary in the grammar).
-std::string ShapeText(int64_t threshold) {
-  std::string inner = "s" + std::to_string(kSeries - 1);
-  for (int i = kSeries - 2; i >= 1; --i) {
-    inner = "compose(s" + std::to_string(i) + ", " + inner + ")";
-  }
-  return "q = select(compose(s0, " + inner + "), c0 > " +
-         std::to_string(threshold) + ");";
-}
-
 /// Cached and uncached answers must be indistinguishable before any of
 /// the timings below mean anything. A same-literal hit replays the exact
 /// cached plan, so every simulated counter must match the uncached run; a
@@ -91,10 +81,6 @@ void CheckParity(Engine* engine) {
   auto rebind_ref = engine->Run(ShapeQuery(300), uncached);
   SEQ_CHECK(rebind_ref.ok());
   SEQ_CHECK(rebind->records.size() == rebind_ref->records.size());
-
-  auto text_warm = engine->RunText(ShapeText(450), Span::Of(0, kSpanEnd));
-  SEQ_CHECK(text_warm.ok());
-  SEQ_CHECK(text_warm->records.size() == ref->records.size());
 }
 
 /// Cold: every run pays rewrite + enumeration (cache bypassed).
@@ -139,28 +125,6 @@ void BM_PlanCache_WarmHit(benchmark::State& state) {
   state.counters["hits"] = static_cast<double>(after.hits - before.hits);
 }
 BENCHMARK(BM_PlanCache_WarmHit);
-
-/// Warm, text path: repeat query TEXT with fresh literal tokens — the
-/// lexer and parser are skipped too.
-void BM_PlanCache_WarmTextHit(benchmark::State& state) {
-  Engine engine;
-  RegisterCatalog(&engine);
-  CheckParity(&engine);
-  SEQ_CHECK(engine.RunText(ShapeText(300), Span::Of(0, kSpanEnd)).ok());
-  SEQ_CHECK(engine.RunText(ShapeText(450), Span::Of(0, kSpanEnd)).ok());
-  const PlanCacheStats before = PlanCache::Global().Stats();
-  int64_t tick = 0;
-  for (auto _ : state) {
-    tick = (tick + 37) % 300;
-    auto result = engine.RunText(ShapeText(200 + tick), Span::Of(0, kSpanEnd));
-    SEQ_CHECK(result.ok());
-    benchmark::DoNotOptimize(result->records.data());
-  }
-  const PlanCacheStats after = PlanCache::Global().Stats();
-  state.counters["text_hits"] =
-      static_cast<double>(after.text_hits - before.text_hits);
-}
-BENCHMARK(BM_PlanCache_WarmTextHit);
 
 /// The re-cost guard's worst case: a selection directly over a base scan
 /// (so the guard has statistics to re-cost against) whose literal

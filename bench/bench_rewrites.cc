@@ -52,7 +52,7 @@ void RunRewrites(benchmark::State& state, bool rewrites) {
   size_t answers = 0;
   for (auto _ : state) {
     stats.Reset();
-    auto result = engine.Run(query, Span::Of(1, kSpanEnd), &stats);
+    auto result = engine.Run({query, Span::Of(1, kSpanEnd)}, {.stats = &stats});
     SEQ_CHECK(result.ok());
     answers = result->records.size();
     benchmark::DoNotOptimize(answers);

@@ -84,7 +84,8 @@ int main() {
 
   // 1. Retrospective run over the whole history.
   AccessStats stats;
-  auto matches = engine.Run(*graph, Span::Of(1, history_end), &stats);
+  auto matches =
+      engine.Run({*graph, Span::Of(1, history_end)}, {.stats = &stats});
   if (!matches.ok()) {
     std::cerr << matches.status() << "\n";
     return 1;

@@ -37,7 +37,7 @@ int main() {
                    .Agg(AggFunc::kAvg, "temp", 3, "avg3")
                    .Build();
 
-  auto result = engine.Run(query);
+  auto result = engine.Run({query});
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;
@@ -53,7 +53,7 @@ int main() {
     std::cerr << parsed.status() << "\n";
     return 1;
   }
-  auto result2 = engine.Run(*parsed);
+  auto result2 = engine.Run({*parsed});
   std::cout << "Same, parsed from text (" << result2->records.size()
             << " records — identical)\n\n";
 
@@ -64,7 +64,7 @@ int main() {
   std::cout << *explained << "\n";
 
   // 5. Point queries (the Fig. 6 template): records at a few positions.
-  auto points = engine.RunAt(query, {3, 6, 9});
+  auto points = engine.Run({.graph = query, .positions = {3, 6, 9}});
   std::cout << "Point queries at days 3, 6, 9:\n" << points->ToString();
   return 0;
 }

@@ -27,7 +27,7 @@ int main() {
   auto slow = SeqRef("ibm").Agg(AggFunc::kAvg, "close", 20, "slow");
   auto crossover =
       fast.ComposeWith(slow, Gt(Col("fast", 0), Col("slow", 1))).Build();
-  auto golden = engine.Run(crossover);
+  auto golden = engine.Run({crossover});
   if (!golden.ok()) {
     std::cerr << golden.status() << "\n";
     return 1;
@@ -40,7 +40,7 @@ int main() {
   // weekly averages.
   auto weekly = SeqRef("hp").Collapse(7, AggFunc::kAvg, "close", "week_avg")
                     .Build();
-  auto weeks = engine.Run(weekly);
+  auto weeks = engine.Run({weekly});
   std::cout << "weekly HP averages (" << weeks->records.size()
             << " weeks):\n"
             << weeks->ToString(3) << "\n";
@@ -58,7 +58,7 @@ int main() {
                   .Build();
 
   AccessStats with_spans;
-  auto r1 = engine.Run(fig3, std::nullopt, &with_spans);
+  auto r1 = engine.Run({fig3}, {.stats = &with_spans});
   if (!r1.ok()) {
     std::cerr << r1.status() << "\n";
     return 1;
@@ -69,7 +69,7 @@ int main() {
   Engine engine2(no_pushdown);
   (void)RegisterTable1Stocks(&engine2.catalog());
   AccessStats without_spans;
-  auto r2 = engine2.Run(fig3, Span::Of(1, 750), &without_spans);
+  auto r2 = engine2.Run({fig3, Span::Of(1, 750)}, {.stats = &without_spans});
 
   std::cout << "Fig. 3 span optimization (" << r1->records.size()
             << " answers either way):\n";

@@ -41,7 +41,7 @@ int main() {
                    .Build();
 
   AccessStats stats;
-  auto result = engine.Run(query, Span::Of(1, 50000), &stats);
+  auto result = engine.Run({query, Span::Of(1, 50000)}, {.stats = &stats});
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;

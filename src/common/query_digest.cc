@@ -6,18 +6,12 @@
 
 namespace seq {
 
-namespace {
-
-/// The one tokenizing scan behind NormalizeQueryText and
-/// NormalizeAndExtract. `out` always receives the shape; `literals` is
-/// optional. Kept as a single implementation so the shape emitted with and
-/// without extraction can never differ.
-void ScanQueryText(std::string_view text, std::string* out,
-                   std::vector<TextLiteral>* literals, bool* clean) {
-  out->reserve(text.size());
-  auto emit = [out](std::string_view token) {
-    if (!out->empty()) out->push_back(' ');
-    out->append(token);
+std::string NormalizeQueryText(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  auto emit = [&out](std::string_view token) {
+    if (!out.empty()) out.push_back(' ');
+    out.append(token);
   };
   size_t i = 0;
   const size_t n = text.size();
@@ -32,26 +26,12 @@ void ScanQueryText(std::string_view text, std::string* out,
     if (c == '"' || c == '\'') {
       const char quote = text[i];
       ++i;
-      const size_t body_start = i;
-      bool saw_backslash = false;
       while (i < n && text[i] != quote) {
-        if (text[i] == '\\' && i + 1 < n) {
-          saw_backslash = true;
-          ++i;
-        }
+        if (text[i] == '\\' && i + 1 < n) ++i;
         ++i;
       }
-      const size_t body_end = i;
-      bool terminated = i < n;
-      if (terminated) ++i;  // closing quote
+      if (i < n) ++i;  // closing quote
       emit("?");
-      if (literals != nullptr) {
-        TextLiteral lit;
-        lit.text = std::string(text.substr(body_start, body_end - body_start));
-        lit.is_string = true;
-        literals->push_back(std::move(lit));
-      }
-      if (clean != nullptr && (saw_backslash || !terminated)) *clean = false;
       continue;
     }
     // Numeric literal (digit-led, or dot-led like ".5"), including
@@ -61,7 +41,6 @@ void ScanQueryText(std::string_view text, std::string* out,
     if (std::isdigit(c) ||
         (c == '.' && i + 1 < n &&
          std::isdigit(static_cast<unsigned char>(text[i + 1])))) {
-      const size_t num_start = i;
       ++i;
       while (i < n && (std::isdigit(static_cast<unsigned char>(text[i])) ||
                        text[i] == '.')) {
@@ -79,13 +58,6 @@ void ScanQueryText(std::string_view text, std::string* out,
         }
       }
       emit("?");
-      if (literals != nullptr) {
-        std::string_view token = text.substr(num_start, i - num_start);
-        TextLiteral lit;
-        lit.text = std::string(token);
-        lit.is_double = token.find_first_of(".eE") != std::string_view::npos;
-        literals->push_back(std::move(lit));
-      }
       continue;
     }
     // Identifier / keyword: case-folded.
@@ -103,19 +75,6 @@ void ScanQueryText(std::string_view text, std::string* out,
     emit(text.substr(i, 1));
     ++i;
   }
-}
-
-}  // namespace
-
-std::string NormalizeQueryText(std::string_view text) {
-  std::string out;
-  ScanQueryText(text, &out, nullptr, nullptr);
-  return out;
-}
-
-NormalizedQuery NormalizeAndExtract(std::string_view text) {
-  NormalizedQuery out;
-  ScanQueryText(text, &out.shape, &out.literals, &out.clean);
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace seq {
 
@@ -18,38 +17,10 @@ namespace seq {
 ///   NormalizeQueryText("select(IBM, close > 100.0)") ==
 ///   NormalizeQueryText("SELECT( ibm,close>7 )")        // "select ( ibm , close > ? )"
 ///
-/// This is the ONE shape-digest implementation in the tree: the
-/// slow-query log (obs/slow_query_log) and the plan cache's text fast
-/// path (core/plan_cache) both call it, so a shape always has the same
-/// digest in both places and the two can never drift apart.
+/// This is the ONE shape-digest implementation in the tree: the query
+/// registry, the slow-query log (obs/slow_query_log) and the plan cache's
+/// display text all call it, so a shape always has the same digest.
 std::string NormalizeQueryText(std::string_view text);
-
-/// One literal token lifted out of the query text by NormalizeAndExtract,
-/// in source order.
-struct TextLiteral {
-  /// The token as written: digits (and dot) for numbers, the inner body
-  /// for quoted strings (quotes stripped, escapes NOT processed — the
-  /// Sequin lexer copies string bodies verbatim).
-  std::string text;
-  /// True for quoted strings, false for numeric tokens.
-  bool is_string = false;
-  /// True when a numeric token contains a '.' inside the digit run (the
-  /// lexer's int-vs-double rule).
-  bool is_double = false;
-};
-
-/// NormalizeQueryText plus the literals it parameterized away, in order.
-/// `shape` is byte-identical to NormalizeQueryText(text). `clean` is false
-/// when a string literal contained a backslash or was unterminated — cases
-/// where this scanner's token boundaries may disagree with the real
-/// Sequin lexer, so the literals must not be used for plan binding.
-struct NormalizedQuery {
-  std::string shape;
-  std::vector<TextLiteral> literals;
-  bool clean = true;
-};
-
-NormalizedQuery NormalizeAndExtract(std::string_view text);
 
 /// 64-bit FNV-1a over `data`, for compact cache-key fingerprints.
 uint64_t Fnv1a64(std::string_view data, uint64_t seed = 1469598103934665603ULL);

@@ -1,13 +1,10 @@
 #include "core/engine.h"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <optional>
 #include <sstream>
 
-#include "common/string_util.h"
+#include "common/query_digest.h"
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
 #include "obs/query_registry.h"
@@ -18,25 +15,7 @@
 
 namespace seq {
 
-Result<PhysicalPlan> Engine::Plan(const Query& query) const {
-  Query inlined = query;
-  SEQ_ASSIGN_OR_RETURN(inlined.graph, InlineViews(query.graph, views_));
-  Optimizer optimizer(catalog_, options_);
-  return optimizer.Optimize(inlined);
-}
-
 namespace {
-
-/// Optimizer options for the graceful-degradation retry: the same query,
-/// planned with every operator cache (Cache-Strategy-A windows,
-/// Cache-Strategy-B offset caches) disabled, so the fallback plan cannot
-/// hit QueryGuards::max_cache_bytes again.
-OptimizerOptions CacheFreeOptions(const OptimizerOptions& options) {
-  OptimizerOptions degraded = options;
-  degraded.cost_params.disable_window_cache = true;
-  degraded.cost_params.disable_incremental_value_offset = true;
-  return degraded;
-}
 
 /// Display text for the query registry and slow-query log: the query
 /// rendered back to Sequin, with the range/point request appended. Only
@@ -56,13 +35,21 @@ std::string QueryDisplayText(const Query& query) {
   return text;
 }
 
-/// Always-on completion accounting shared by Engine::Run and
-/// PreparedQuery::Run: per-run counters and the latency histogram, the
-/// registry completion record, and the slow-query digest log. The hot
-/// metric objects are resolved once and cached — the registries are
-/// leaked process singletons, so the references never dangle.
-void RecordRunCompletion(QueryRegistry::Ticket& ticket, const Status& status,
-                         double wall_us) {
+/// The always-on completion envelope shared by Engine::Run and
+/// PreparedQuery::Run: times `run`, then records the per-run counters and
+/// latency histogram, the registry completion record, and the slow-query
+/// digest log on every exit path. The hot metric objects are resolved once
+/// and cached — the registries are leaked process singletons, so the
+/// references never dangle.
+template <typename RunFn>
+Result<QueryResult> RunRecorded(QueryRegistry::Ticket& ticket, RunFn&& run) {
+  const auto start = std::chrono::steady_clock::now();
+  Result<QueryResult> result = run();
+  const double wall_us =
+      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  const Status& status = result.status();
   static MetricCounter& runs = MetricsRegistry::Global().Counter("engine.runs");
   static MetricCounter& failed =
       MetricsRegistry::Global().Counter("engine.failed_runs");
@@ -74,7 +61,7 @@ void RecordRunCompletion(QueryRegistry::Ticket& ticket, const Status& status,
   runs.Add();
   if (!status.ok() && !suspended) failed.Add();
   run_us.Record(wall_us);
-  if (!ticket.active()) return;
+  if (!ticket.active()) return result;
   CompletedQueryInfo done = ticket.Finish(
       status.ok() || suspended,
       status.ok() ? "OK"
@@ -88,31 +75,7 @@ void RecordRunCompletion(QueryRegistry::Ticket& ticket, const Status& status,
                 static_cast<double>(done.wall_us), done.rows, done.pages,
                 done.status, static_cast<double>(done.queued_us));
   }
-}
-
-/// Converts one literal token captured by NormalizeAndExtract into the
-/// Value the lexer would have produced, mirroring the lexer exactly:
-/// string bodies are taken verbatim (escaped strings are never bindable —
-/// the scanner marks them unclean), numbers with '.', 'e' or 'E' are
-/// doubles, everything else must fit an int64. nullopt when the token
-/// cannot round-trip (e.g. int64 overflow) — the caller falls back to the
-/// parse path.
-std::optional<Value> TokenToValue(const TextLiteral& lit) {
-  if (lit.is_string) return Value::String(lit.text);
-  errno = 0;
-  char* end = nullptr;
-  if (lit.is_double) {
-    const double v = std::strtod(lit.text.c_str(), &end);
-    if (errno != 0 || end != lit.text.c_str() + lit.text.size()) {
-      return std::nullopt;
-    }
-    return Value::Double(v);
-  }
-  const long long v = std::strtoll(lit.text.c_str(), &end, 10);
-  if (errno != 0 || end != lit.text.c_str() + lit.text.size()) {
-    return std::nullopt;
-  }
-  return Value::Int64(static_cast<int64_t>(v));
+  return result;
 }
 
 size_t CountPlanNodes(const PhysNodePtr& node) {
@@ -173,15 +136,15 @@ std::string Engine::PlanKeyPrefix(const OptimizerOptions& opt_options) const {
 void Engine::InsertPlanEntry(const std::string& key, ParameterizedQuery pq,
                              const PhysicalPlan& plan,
                              const Optimizer& optimizer,
-                             const OptimizerOptions& opt_options,
                              const Query& inlined) const {
   auto entry = std::make_shared<PlanCacheEntry>();
   entry->plan = plan;
   entry->param_types.reserve(pq.params.size());
   for (const Value& v : pq.params) entry->param_types.push_back(v.type());
   entry->bindable = PlanCoversAllParams(plan, pq.params.size());
-  entry->recost_checks = CaptureRecostChecks(optimizer.optimized_graph(),
-                                             catalog_, opt_options.cost_params);
+  entry->recost_checks =
+      CaptureRecostChecks(optimizer.optimized_graph(), catalog_,
+                          optimizer.options().cost_params);
   entry->positions = pq.query.positions;
   entry->bound_values = std::move(pq.params);
   entry->engine_id = plan_cache_id_.value();
@@ -193,27 +156,34 @@ void Engine::InsertPlanEntry(const std::string& key, ParameterizedQuery pq,
   PlanCache::Global().Insert(key, std::move(entry));
 }
 
-Result<PhysicalPlan> Engine::PlanViaCache(const Query& inlined,
-                                          const OptimizerOptions& opt_options,
-                                          Optimizer& optimizer, bool use_cache,
-                                          bool allow_read,
-                                          bool* from_cache) const {
-  *from_cache = false;
-  if (!use_cache) return optimizer.Optimize(inlined);
-
+Result<Engine::PlannedQuery> Engine::PlanQuery(const Query& query,
+                                               CacheUse use,
+                                               Optimizer& optimizer) const {
+  PlannedQuery out;
+  out.inlined = query;
+  SEQ_ASSIGN_OR_RETURN(out.inlined.graph, InlineViews(query.graph, views_));
   PlanCache& cache = PlanCache::Global();
-  ParameterizedQuery pq = ParameterizeQuery(inlined);
-  const std::string key = PlanKeyPrefix(opt_options) + pq.signature;
-  if (allow_read) {
+  const bool cached = use != CacheUse::kBypass &&
+                      out.inlined.graph != nullptr && cache.enabled();
+  ParameterizedQuery pq;
+  std::string key;
+  if (cached) {
+    pq = ParameterizeQuery(out.inlined);
+    key = PlanKeyPrefix(optimizer.options()) + pq.signature;
+  }
+  if (cached && use == CacheUse::kRead) {
     PlanCacheEntryPtr entry = cache.Lookup(key);
     if (entry != nullptr && EntryMatches(*entry, pq)) {
       if (entry->recost_checks.empty() ||
           RecostWithinThreshold(entry->recost_checks, pq.params,
-                                opt_options.cost_params,
+                                optimizer.options().cost_params,
                                 kPlanCacheRecostThreshold)) {
-        *from_cache = true;
-        if (entry->bindable) return BindPlanParams(entry->plan, pq.params);
-        return entry->plan;  // exact literal values, reuse verbatim
+        out.from_cache = true;
+        // A non-bindable entry matched the exact literal values: reuse it
+        // verbatim.
+        out.plan = entry->bindable ? BindPlanParams(entry->plan, pq.params)
+                                   : entry->plan;
+        return out;
       }
       // The bound literals moved a predicate's estimated selectivity past
       // the threshold: the cached plan may be badly shaped for them. Fall
@@ -222,11 +192,22 @@ Result<PhysicalPlan> Engine::PlanViaCache(const Query& inlined,
     }
   }
 
-  // Miss: optimize the TAGGED clone, so the plan's literals carry their
-  // parameter indices and the result can serve as a bindable template.
-  SEQ_ASSIGN_OR_RETURN(PhysicalPlan plan, optimizer.Optimize(pq.query));
-  InsertPlanEntry(key, std::move(pq), plan, optimizer, opt_options, inlined);
-  return plan;
+  // A cached miss optimizes the TAGGED clone, so the plan's literals carry
+  // their parameter indices and the result can serve as a bindable
+  // template.
+  SEQ_ASSIGN_OR_RETURN(out.plan,
+                       optimizer.Optimize(cached ? pq.query : out.inlined));
+  if (cached) {
+    InsertPlanEntry(key, std::move(pq), out.plan, optimizer, out.inlined);
+  }
+  return out;
+}
+
+Result<PhysicalPlan> Engine::Plan(const Query& query) const {
+  Optimizer optimizer(catalog_, options_);
+  SEQ_ASSIGN_OR_RETURN(PlannedQuery planned,
+                       PlanQuery(query, CacheUse::kBypass, optimizer));
+  return std::move(planned.plan);
 }
 
 Status Engine::DefineView(std::string name, LogicalOpPtr graph) {
@@ -253,7 +234,7 @@ Status Engine::Materialize(const std::string& name,
   if (catalog_.Contains(name) || views_.count(name) > 0) {
     return Status::InvalidArgument("'" + name + "' already exists");
   }
-  SEQ_ASSIGN_OR_RETURN(QueryResult result, Run(graph, range));
+  SEQ_ASSIGN_OR_RETURN(QueryResult result, Run({graph, range}));
   SEQ_ASSIGN_OR_RETURN(
       BaseSequencePtr store,
       BaseSequenceStore::FromRecords(result.schema,
@@ -265,16 +246,12 @@ Status Engine::Materialize(const std::string& name,
 }
 
 Result<Engine::PreparedQuery> Engine::Prepare(const Query& query) const {
-  Query inlined = query;
-  SEQ_ASSIGN_OR_RETURN(inlined.graph, InlineViews(query.graph, views_));
   Optimizer optimizer(catalog_, options_);
-  const bool use_cache = ExecOptions{}.use_plan_cache &&
-                         inlined.graph != nullptr &&
-                         PlanCache::Global().enabled();
-  bool from_cache = false;
-  SEQ_ASSIGN_OR_RETURN(PhysicalPlan plan,
-                       PlanViaCache(inlined, options_, optimizer, use_cache,
-                                    /*allow_read=*/true, &from_cache));
+  SEQ_ASSIGN_OR_RETURN(
+      PlannedQuery planned,
+      PlanQuery(query,
+                DefaultUsePlanCache() ? CacheUse::kRead : CacheUse::kBypass,
+                optimizer));
   // Registry identity is captured once here; every Run of the prepared
   // query registers under the same text and digest without re-unparsing.
   std::string text;
@@ -283,17 +260,16 @@ Result<Engine::PreparedQuery> Engine::Prepare(const Query& query) const {
     text = QueryDisplayText(query);
     digest = NormalizeQueryText(text);
   }
-  PreparedQuery prepared(&catalog_, options_.cost_params, std::move(plan),
-                         std::move(text), std::move(digest));
-  prepared.plan_cached_ = from_cache;
+  PreparedQuery prepared(&catalog_, options_.cost_params,
+                         std::move(planned.plan), std::move(text),
+                         std::move(digest));
+  prepared.plan_cached_ = planned.from_cache;
   return prepared;
 }
 
-Result<QueryResult> Engine::RunWithOptions(const Query& query,
-                                           const ExecOptions& exec,
-                                           bool profile, const RowSink& sink,
-                                           AccessStats* stats) const {
-  if (profile && sink) {
+Result<QueryResult> Engine::Run(const Query& query,
+                                const RunOptions& opts) const {
+  if (opts.profile && opts.sink) {
     return Status::InvalidArgument(
         "RunOptions::profile cannot be combined with RunOptions::sink: the "
         "batch sink hands out reusable slot buffers that the profiling shims "
@@ -310,57 +286,41 @@ Result<QueryResult> Engine::RunWithOptions(const Query& query,
     std::string text = QueryDisplayText(query);
     std::string digest = NormalizeQueryText(text);
     ticket = registry.Start(std::move(text), std::move(digest),
-                            exec.session_id);
+                            opts.exec.session_id);
   }
-  ExecOptions run_exec = exec;
-  run_exec.telemetry = ticket.telemetry();
-
-  const auto start = std::chrono::steady_clock::now();
-  Result<QueryResult> result =
-      RunWithOptionsImpl(query, run_exec, profile, sink, stats, ticket);
-  const double wall_us =
-      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  RecordRunCompletion(ticket, result.status(), wall_us);
-  return result;
+  RunOptions run_opts = opts;
+  run_opts.exec.telemetry = ticket.telemetry();
+  return RunRecorded(ticket,
+                     [&] { return RunPlanned(query, run_opts, ticket); });
 }
 
-Result<QueryResult> Engine::RunWithOptionsImpl(
-    const Query& query, const ExecOptions& exec, bool profile,
-    const RowSink& sink, AccessStats* stats,
-    QueryRegistry::Ticket& ticket) const {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-
-  if (exec.checkpoint.enabled && sink) {
+Result<QueryResult> Engine::RunPlanned(const Query& query,
+                                       const RunOptions& opts,
+                                       QueryRegistry::Ticket& ticket) const {
+  const ExecOptions& exec = opts.exec;
+  if (exec.checkpoint.enabled && opts.sink) {
     return Status::InvalidArgument(
         "checkpointed runs cannot stream to a sink: rows already handed to "
         "the sink could not be replayed from the checkpoint on resume");
   }
 
-  Query inlined = query;
-  SEQ_ASSIGN_OR_RETURN(inlined.graph, InlineViews(query.graph, views_));
   OptimizerOptions opt_options = options_;
-  if (profile) opt_options.collect_trace = true;
+  if (opts.profile) opt_options.collect_trace = true;
   Optimizer optimizer(catalog_, opt_options);
-  // Profiled runs must produce a real optimizer trace, so they never READ
-  // the plan cache — but they still refresh the template on the way.
-  const bool use_cache = exec.use_plan_cache && inlined.graph != nullptr &&
-                         PlanCache::Global().enabled();
-  bool from_cache = false;
-  SEQ_ASSIGN_OR_RETURN(
-      PhysicalPlan plan,
-      PlanViaCache(inlined, opt_options, optimizer, use_cache,
-                   /*allow_read=*/!profile, &from_cache));
-  if (from_cache) ticket.set_plan_cached();
+  const CacheUse use = !exec.use_plan_cache ? CacheUse::kBypass
+                       : opts.profile       ? CacheUse::kRefresh
+                                            : CacheUse::kRead;
+  SEQ_ASSIGN_OR_RETURN(PlannedQuery planned, PlanQuery(query, use, optimizer));
+  const PhysicalPlan& plan = planned.plan;
+  if (planned.from_cache) ticket.set_plan_cached();
   ticket.set_state(QueryState::kExecuting);
   Executor executor(catalog_, opt_options.cost_params, exec);
 
-  if (sink) {
+  if (opts.sink) {
     // Streaming path: rows already handed to the sink cannot be taken
     // back, so there is no graceful-degradation retry here — a cache
     // budget trip surfaces as its ResourceExhausted status.
-    SEQ_RETURN_IF_ERROR(executor.ExecuteVisit(plan, sink, stats));
+    SEQ_RETURN_IF_ERROR(executor.ExecuteVisit(plan, opts.sink, opts.stats));
     QueryResult out;
     out.schema = plan.schema;
     return out;
@@ -370,62 +330,58 @@ Result<QueryResult> Engine::RunWithOptionsImpl(
   // The first attempt charges into local stats so a degraded retry does not
   // leak the aborted attempt's counters into the caller's totals.
   AccessStats attempt_stats;
-  AccessStats* attempt = stats != nullptr ? &attempt_stats : nullptr;
+  AccessStats* attempt = opts.stats != nullptr ? &attempt_stats : nullptr;
   // Checkpointed execution (profiled runs execute normally — a profile of
   // a partial run would be misleading, and the trace requirement already
   // forces the re-optimize path).
-  const bool checkpointed = exec.checkpoint.enabled && !profile;
+  const bool checkpointed = exec.checkpoint.enabled && !opts.profile;
   Result<QueryResult> result =
-      profile ? executor.ExecuteProfiled(plan, &prof, attempt)
-      : checkpointed
-          ? RunCheckpointed(inlined, plan, opt_options, exec, attempt, ticket)
-          : executor.Execute(plan, attempt);
+      opts.profile ? executor.ExecuteProfiled(plan, &prof, attempt)
+      : checkpointed ? RunCheckpointed(planned.inlined, plan, opt_options,
+                                       exec, attempt, ticket)
+                     : executor.Execute(plan, attempt);
   // ExecuteProfiled resets the profile, so the trace is attached after.
-  OptTrace trace = optimizer.trace();
   MorselPlan morsels;
-  if (profile) morsels = executor.PlanMorsels(plan);
+  if (opts.profile) {
+    prof.optimizer = optimizer.trace();
+    morsels = executor.PlanMorsels(plan);
+  }
   std::string degradation_note;
   if (!result.ok() && IsCacheBudgetExceeded(result.status())) {
     // Graceful degradation: the query is fine, only its cached plan does not
-    // fit max_cache_bytes. Re-plan with operator caches disabled and run the
-    // (slower, memory-flat) naive plan instead of failing.
-    metrics.Add("engine.cache_degradations");
+    // fit max_cache_bytes. Run the (slower, memory-flat) cache-free plan
+    // instead of failing.
+    MetricsRegistry::Global().Add("engine.cache_degradations");
     ticket.set_state(QueryState::kDegraded);
     degradation_note =
         "degraded: " + result.status().message() +
         "; re-planned with operator caches disabled";
-    OptimizerOptions degraded = CacheFreeOptions(opt_options);
-    Optimizer degraded_optimizer(catalog_, degraded);
-    SEQ_ASSIGN_OR_RETURN(PhysicalPlan fallback,
-                         degraded_optimizer.Optimize(inlined));
-    Executor degraded_executor(catalog_, degraded.cost_params, exec);
-    result = profile ? degraded_executor.ExecuteProfiled(fallback, &prof, stats)
-                     : degraded_executor.Execute(fallback, stats);
-    trace = degraded_optimizer.trace();
-    if (profile) morsels = degraded_executor.PlanMorsels(fallback);
-  } else if (result.ok() && stats != nullptr) {
-    *stats += attempt_stats;
+    result = RunCacheFree(catalog_, planned.inlined, opt_options, exec,
+                          opts.stats, opts.profile ? &prof : nullptr,
+                          opts.profile ? &morsels : nullptr);
+  } else if (result.ok() && opts.stats != nullptr) {
+    *opts.stats += attempt_stats;
   }
   SEQ_RETURN_IF_ERROR(result.status());
   QueryResult out = std::move(result).value();
 
-  if (profile) {
+  if (opts.profile) {
     // The driving decision is part of the query's explanation: surface it
     // in the trace (stage "execution") always, and as a profile note when
     // the run actually went parallel (serial is the unremarkable default).
-    trace.Add("execution", morsels.reason, -1.0, morsels.parallel);
-    prof.optimizer = std::move(trace);
+    prof.optimizer.Add("execution", morsels.reason, -1.0, morsels.parallel);
     if (!degradation_note.empty()) {
       prof.notes.push_back(std::move(degradation_note));
     }
     if (morsels.parallel) {
       prof.notes.push_back("execution: " + morsels.reason);
     }
-    if (use_cache) {
+    if (use == CacheUse::kRefresh && PlanCache::Global().enabled()) {
       prof.notes.push_back(
           "plan cache: template refreshed (profiled runs always re-optimize "
           "to produce the trace)");
     }
+    MetricsRegistry& metrics = MetricsRegistry::Global();
     metrics.Add("engine.profiled_runs");
     metrics.Observe("engine.optimize_us",
                     static_cast<double>(prof.optimizer.optimize_us));
@@ -614,83 +570,16 @@ bool Engine::RequestSuspend(uint64_t query_id) {
   return QueryRegistry::Global().RequestSuspend(query_id);
 }
 
-Result<QueryResult> Engine::Run(const Query& query,
-                                const RunOptions& opts) const {
-  return RunWithOptions(query, opts.exec, opts.profile, opts.sink, opts.stats);
-}
-
-Result<QueryResult> Engine::Run(const LogicalOpPtr& graph,
-                                std::optional<Span> range,
-                                const RunOptions& opts) const {
-  Query query;
-  query.graph = graph;
-  query.range = range;
-  return Run(query, opts);
-}
-
-Result<QueryResult> Engine::Run(const QueryBuilder& builder,
-                                std::optional<Span> range,
-                                const RunOptions& opts) const {
-  return Run(builder.Build(), range, opts);
-}
-
-Result<QueryResult> Engine::RunAt(const LogicalOpPtr& graph,
-                                  std::vector<Position> positions,
-                                  const RunOptions& opts) const {
-  Query query;
-  query.graph = graph;
-  query.positions = std::move(positions);
-  return Run(query, opts);
-}
-
-Result<QueryResult> Engine::Run(const Query& query, AccessStats* stats) const {
-  return RunWithOptions(query, ExecOptions{}, /*profile=*/false, RowSink{},
-                        stats);
-}
-
-Result<std::string> Engine::ExplainAnalyze(const Query& query) const {
-  SEQ_ASSIGN_OR_RETURN(
-      QueryResult run,
-      RunWithOptions(query, ExecOptions{}, /*profile=*/true, RowSink{},
-                     nullptr));
-  return run.profile->ToString();
-}
-
 Result<std::string> Engine::ExplainAnalyze(const Query& query,
                                            const RunOptions& opts) const {
   if (opts.sink) {
     return Status::InvalidArgument(
         "ExplainAnalyze cannot stream to a sink: it must profile the run");
   }
-  SEQ_ASSIGN_OR_RETURN(
-      QueryResult run,
-      RunWithOptions(query, opts.exec, /*profile=*/true, RowSink{},
-                     opts.stats));
+  RunOptions profiled = opts;
+  profiled.profile = true;
+  SEQ_ASSIGN_OR_RETURN(QueryResult run, Run(query, profiled));
   return run.profile->ToString();
-}
-
-Result<QueryResult> Engine::Run(const LogicalOpPtr& graph,
-                                std::optional<Span> range,
-                                AccessStats* stats) const {
-  Query query;
-  query.graph = graph;
-  query.range = range;
-  return Run(query, stats);
-}
-
-Result<QueryResult> Engine::Run(const QueryBuilder& builder,
-                                std::optional<Span> range,
-                                AccessStats* stats) const {
-  return Run(builder.Build(), range, stats);
-}
-
-Result<QueryResult> Engine::RunAt(const LogicalOpPtr& graph,
-                                  std::vector<Position> positions,
-                                  AccessStats* stats) const {
-  Query query;
-  query.graph = graph;
-  query.positions = std::move(positions);
-  return Run(query, stats);
 }
 
 Result<QueryResult> Engine::PreparedQuery::Run(const RunOptions& opts) const {
@@ -710,10 +599,8 @@ Result<QueryResult> Engine::PreparedQuery::Run(const RunOptions& opts) const {
   }
   ExecOptions run_exec = opts.exec;
   run_exec.telemetry = ticket.telemetry();
-  const auto start = std::chrono::steady_clock::now();
-
-  Executor executor(*catalog_, params_, run_exec);
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+  return RunRecorded(ticket, [&]() -> Result<QueryResult> {
+    Executor executor(*catalog_, params_, run_exec);
     if (opts.sink) {
       SEQ_RETURN_IF_ERROR(executor.ExecuteVisit(plan_, opts.sink, opts.stats));
       QueryResult out;
@@ -732,21 +619,13 @@ Result<QueryResult> Engine::PreparedQuery::Run(const RunOptions& opts) const {
       return run;
     }
     return executor.Execute(plan_, opts.stats);
-  }();
-
-  const double wall_us =
-      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  RecordRunCompletion(ticket, result.status(), wall_us);
-  return result;
+  });
 }
 
 Result<std::string> Engine::Explain(const Query& query) const {
-  Query inlined = query;
-  SEQ_ASSIGN_OR_RETURN(inlined.graph, InlineViews(query.graph, views_));
   Optimizer optimizer(catalog_, options_);
-  SEQ_ASSIGN_OR_RETURN(PhysicalPlan plan, optimizer.Optimize(inlined));
+  SEQ_ASSIGN_OR_RETURN(PlannedQuery planned,
+                       PlanQuery(query, CacheUse::kBypass, optimizer));
   std::ostringstream oss;
   oss << "=== logical (annotated, rewritten) ===\n";
   oss << optimizer.optimized_graph()->ToTreeString();
@@ -758,183 +637,8 @@ Result<std::string> Engine::Explain(const Query& query) const {
     }
     oss << "\n";
   }
-  oss << "=== physical ===\n" << plan.Explain();
+  oss << "=== physical ===\n" << planned.plan.Explain();
   return oss.str();
-}
-
-Result<QueryResult> Engine::RunCachedPlanText(const std::string& source,
-                                              const std::string& shape,
-                                              const PhysicalPlan& plan,
-                                              const RunOptions& opts,
-                                              bool* budget_tripped) const {
-  *budget_tripped = false;
-  QueryRegistry& registry = QueryRegistry::Global();
-  QueryRegistry::Ticket ticket;
-  if (registry.enabled()) {
-    ticket = registry.Start(std::string(StripAsciiWhitespace(source)), shape,
-                            opts.exec.session_id);
-    ticket.set_state(QueryState::kExecuting);
-    ticket.set_plan_cached();
-  }
-  ExecOptions run_exec = opts.exec;
-  run_exec.telemetry = ticket.telemetry();
-  const auto start = std::chrono::steady_clock::now();
-
-  Executor executor(catalog_, options_.cost_params, run_exec);
-  // Attempt-stats pattern (as in RunWithOptionsImpl): a budget-tripped
-  // attempt must not leak its counters into the caller's totals, because
-  // the caller re-runs the query through the parse path.
-  AccessStats attempt_stats;
-  AccessStats* attempt = opts.stats != nullptr ? &attempt_stats : nullptr;
-  Result<QueryResult> result = executor.Execute(plan, attempt);
-  if (result.ok() && opts.stats != nullptr) *opts.stats += attempt_stats;
-  if (!result.ok() && IsCacheBudgetExceeded(result.status())) {
-    *budget_tripped = true;
-  }
-
-  const double wall_us =
-      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  RecordRunCompletion(ticket, result.status(), wall_us);
-  return result;
-}
-
-void Engine::InsertTextEntry(const std::string& text_key,
-                             const NormalizedQuery& nq,
-                             const ParsedProgram& program,
-                             const Query& query) const {
-  auto entry = std::make_shared<TextShapeEntry>();
-  entry->engine_id = plan_cache_id_.value();
-
-  // Resolve the plan key the graph tier files this query under (one extra
-  // parameterization per text-shape miss — noise next to the parse and
-  // optimize the miss already paid).
-  Query inlined = query;
-  Result<LogicalOpPtr> graph = InlineViews(query.graph, views_);
-  if (!graph.ok()) return;
-  inlined.graph = std::move(graph).value();
-  ParameterizedQuery pq = ParameterizeQuery(inlined);
-  entry->plan_key = PlanKeyPrefix(options_) + pq.signature;
-
-  // Text-bindability: a future hit will map literal TOKENS positionally
-  // onto the graph's parameters, so that mapping must be provably the
-  // identity. That requires a single self-contained statement (definitions
-  // inline by clone, reordering literals) scanned cleanly, with the
-  // extracted tokens matching the parameters pairwise in count, type and
-  // value. Anything else — bool literals, optimizer-relevant structural
-  // integers (window sizes, offsets), folded predicates — fails the
-  // pairwise check and stays on the parse path, which still hits the
-  // graph-tier cache.
-  bool bindable = program.order.size() == 1 && nq.clean &&
-                  program.explain == ExplainMode::kNone &&
-                  nq.literals.size() == pq.params.size();
-  if (bindable) {
-    for (size_t i = 0; i < nq.literals.size(); ++i) {
-      std::optional<Value> v = TokenToValue(nq.literals[i]);
-      if (!v.has_value() || v->type() != pq.params[i].type() ||
-          !(*v == pq.params[i])) {
-        bindable = false;
-        entry->param_types.clear();
-        break;
-      }
-      entry->param_types.push_back(v->type());
-    }
-  }
-  entry->bindable = bindable;
-  PlanCache::Global().InsertText(text_key, std::move(entry));
-}
-
-Result<QueryResult> Engine::RunText(const std::string& source,
-                                    std::optional<Span> range,
-                                    const RunOptions& opts) const {
-  PlanCache& cache = PlanCache::Global();
-  // Profiled and sink runs take the parse path: profiles need the
-  // optimizer trace, and RunWithOptionsImpl owns the sink semantics.
-  const bool use_cache = opts.exec.use_plan_cache && cache.enabled() &&
-                         !opts.profile && !opts.sink;
-  NormalizedQuery nq;
-  std::string text_key;
-  if (use_cache) {
-    nq = NormalizeAndExtract(source);
-    text_key = PlanKeyPrefix(options_) + "text|" +
-               (range.has_value() ? range->ToString() : std::string("none")) +
-               "|" + nq.shape;
-    std::shared_ptr<const TextShapeEntry> shape = cache.LookupText(text_key);
-    if (shape != nullptr && shape->bindable &&
-        shape->engine_id == plan_cache_id_.value() &&
-        nq.literals.size() == shape->param_types.size()) {
-      // Re-lex just the literal tokens; any token the lexer would read
-      // differently (or at a different type) falls back to the parse path.
-      std::vector<Value> params;
-      params.reserve(nq.literals.size());
-      bool ok = true;
-      for (size_t i = 0; i < nq.literals.size(); ++i) {
-        std::optional<Value> v = TokenToValue(nq.literals[i]);
-        if (!v.has_value() || v->type() != shape->param_types[i]) {
-          ok = false;
-          break;
-        }
-        params.push_back(std::move(*v));
-      }
-      if (ok) {
-        PlanCacheEntryPtr entry = cache.Lookup(shape->plan_key);
-        if (entry != nullptr && entry->bindable && entry->positions.empty() &&
-            entry->param_types == shape->param_types) {
-          if (entry->recost_checks.empty() ||
-              RecostWithinThreshold(entry->recost_checks, params,
-                                    options_.cost_params,
-                                    kPlanCacheRecostThreshold)) {
-            bool budget_tripped = false;
-            Result<QueryResult> result =
-                RunCachedPlanText(source, nq.shape,
-                                  BindPlanParams(entry->plan, params), opts,
-                                  &budget_tripped);
-            // A cache-budget trip falls through to the parse path, whose
-            // degradation machinery re-plans cache-free.
-            if (!budget_tripped) return result;
-          }
-          // Re-cost guard tripped: take the parse path; its graph-tier
-          // lookup re-checks, counts the fallback once and refreshes the
-          // template.
-        }
-      }
-    }
-  }
-
-  // Parse path: full pipeline, but Run()'s graph-tier cache still skips
-  // the rewriter and planner for known shapes.
-  SEQ_ASSIGN_OR_RETURN(ParsedProgram program, ParseSequin(source));
-  if (program.explain != ExplainMode::kNone) {
-    return Status::InvalidArgument(
-        "RunText does not evaluate EXPLAIN programs; use Explain / "
-        "ExplainAnalyze");
-  }
-  Query query;
-  query.graph = program.main;
-  query.range = range;
-  Result<QueryResult> result = Run(query, opts);
-  if (result.ok() && use_cache) {
-    InsertTextEntry(text_key, nq, program, query);
-  }
-  return result;
-}
-
-Result<std::map<std::string, QueryResult>> Engine::RunGrouped(
-    const std::vector<std::string>& members,
-    const std::function<LogicalOpPtr(const std::string&)>& graph_for,
-    std::optional<Span> range, AccessStats* stats) const {
-  std::map<std::string, QueryResult> out;
-  for (const std::string& member : members) {
-    LogicalOpPtr graph = graph_for(member);
-    if (graph == nullptr) {
-      return Status::InvalidArgument("grouped query produced no graph for '" +
-                                     member + "'");
-    }
-    SEQ_ASSIGN_OR_RETURN(QueryResult result, Run(graph, range, stats));
-    out.emplace(member, std::move(result));
-  }
-  return out;
 }
 
 }  // namespace seq

@@ -1,15 +1,11 @@
 #ifndef SEQ_CORE_ENGINE_H_
 #define SEQ_CORE_ENGINE_H_
 
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "catalog/catalog.h"
-#include "common/query_digest.h"
 #include "common/result.h"
 #include "core/plan_cache.h"
 #include "core/views.h"
@@ -30,7 +26,7 @@ namespace seq {
 ///   opts.exec.guards.max_rows = 1000;
 ///   opts.exec.parallelism = 4;
 ///   opts.profile = true;
-///   auto result = engine.Run(query, opts);          // result->profile set
+///   auto result = engine.Run({graph, range}, opts);  // result->profile set
 struct RunOptions {
   /// Execution knobs for this run: driving mode, batch capacity, budgets,
   /// fault injection, morsel parallelism (a share cap on the process-wide
@@ -38,7 +34,7 @@ struct RunOptions {
   /// are the library defaults (including SEQ_USE_BATCH / SEQ_PARALLELISM),
   /// NOT whatever was last poked into the deprecated engine-wide
   /// exec_options().
-  ExecOptions exec;
+  ExecOptions exec = {};
   /// Collect the per-operator runtime profile and optimizer trace into
   /// QueryResult::profile. Slower (every operator call is timed); the
   /// unprofiled path is untouched when false.
@@ -48,7 +44,7 @@ struct RunOptions {
   /// path. The row reference is only valid during the callback. Cannot be
   /// combined with `profile`, and rows already visited before a mid-stream
   /// error or budget trip cannot be taken back (docs/robustness.md).
-  RowSink sink;
+  RowSink sink = {};
   /// Simulated access/cache/predicate counters accumulate here when set.
   AccessStats* stats = nullptr;
 };
@@ -56,7 +52,7 @@ struct RunOptions {
 /// The public facade of the SEQ library: a catalog of named sequences plus
 /// optimize-and-evaluate entry points.
 ///
-/// Thread safety: Plan/Run/RunAt/Explain are const and safe to call from
+/// Thread safety: Plan/Run/Explain are const and safe to call from
 /// multiple threads concurrently, provided no thread mutates the engine
 /// (RegisterBase/DefineView/Materialize/StreamSession appends) at the same
 /// time — the usual "set up, then query in parallel" pattern. Per-query
@@ -65,9 +61,9 @@ struct RunOptions {
 ///
 ///   Engine engine;
 ///   engine.RegisterBase("quakes", store);
-///   auto result = engine.Run(SeqRef("quakes")
-///                                .Select(Gt(Col("strength"), Lit(7.0)))
-///                                .Build());
+///   auto result = engine.Run({SeqRef("quakes")
+///                                 .Select(Gt(Col("strength"), Lit(7.0)))
+///                                 .Build()});
 class Engine {
  public:
   explicit Engine(OptimizerOptions options = {})
@@ -113,48 +109,14 @@ class Engine {
   /// Optimizes `query` and returns the selected plan without running it.
   Result<PhysicalPlan> Plan(const Query& query) const;
 
-  /// THE run entry point: optimizes and evaluates `query` under `opts`.
-  /// Covers what used to be four methods — Run (plain), RunProfiled
-  /// (opts.profile), RunVisit/ExecuteVisit (opts.sink) — and applies
-  /// graceful cache-budget degradation on every non-sink path.
-  Result<QueryResult> Run(const Query& query, const RunOptions& opts) const;
-
-  /// RunOptions conveniences mirroring the legacy range/point shapes.
-  Result<QueryResult> Run(const LogicalOpPtr& graph, std::optional<Span> range,
-                          const RunOptions& opts) const;
-  Result<QueryResult> Run(const QueryBuilder& builder,
-                          std::optional<Span> range,
-                          const RunOptions& opts) const;
-  Result<QueryResult> RunAt(const LogicalOpPtr& graph,
-                            std::vector<Position> positions,
-                            const RunOptions& opts) const;
-
-  /// Conveniences: run with the library-default ExecOptions (including
-  /// the SEQ_USE_BATCH / SEQ_PARALLELISM environment defaults).
+  /// THE run entry point: optimizes and evaluates `query` under `opts`
+  /// (profiled when opts.profile, streamed when opts.sink, checkpointed
+  /// when opts.exec.checkpoint.enabled) and applies graceful cache-budget
+  /// degradation on every non-sink path. Query is an aggregate, so the
+  /// usual shapes are `engine.Run({graph, range})` and
+  /// `engine.Run({.graph = g, .positions = {3, 6, 9}})`.
   Result<QueryResult> Run(const Query& query,
-                          AccessStats* stats = nullptr) const;
-  Result<QueryResult> Run(const LogicalOpPtr& graph,
-                          std::optional<Span> range = std::nullopt,
-                          AccessStats* stats = nullptr) const;
-  Result<QueryResult> Run(const QueryBuilder& builder,
-                          std::optional<Span> range = std::nullopt,
-                          AccessStats* stats = nullptr) const;
-  Result<QueryResult> RunAt(const LogicalOpPtr& graph,
-                            std::vector<Position> positions,
-                            AccessStats* stats = nullptr) const;
-
-  /// Runs a Sequin program from source text. The text fast path of the
-  /// parameterized plan cache: when this exact query SHAPE (the text with
-  /// literals stripped) has run before, the lexer, parser, rewriter and
-  /// planner are all skipped — the literal tokens are bound straight into
-  /// the cached plan template. First runs (and programs the text tier
-  /// cannot safely bind: multi-statement definitions, bool literals,
-  /// literals the optimizer folded away) take the normal parse-and-run
-  /// path, which still hits the graph-tier plan cache. EXPLAIN programs
-  /// are rejected — use Explain / ExplainAnalyze.
-  Result<QueryResult> RunText(const std::string& source,
-                              std::optional<Span> range = std::nullopt,
-                              const RunOptions& opts = {}) const;
+                          const RunOptions& opts = {}) const;
 
   /// Resumes a query suspended to `checkpoint_path` (by a run with
   /// RunOptions::exec.checkpoint.enabled — see docs/robustness.md).
@@ -178,14 +140,12 @@ class Engine {
   /// Annotated logical graph plus the physical plan, as text.
   Result<std::string> Explain(const Query& query) const;
 
-  /// EXPLAIN ANALYZE: runs the query profiled and renders the plan tree
-  /// with estimated vs actual rows/cost per operator, the optimizer trace,
-  /// and the cost-model drift summary. The RunOptions overload profiles
-  /// under the given execution knobs (opts.profile is implied; opts.sink
-  /// must be unset).
-  Result<std::string> ExplainAnalyze(const Query& query) const;
+  /// EXPLAIN ANALYZE: runs the query profiled under `opts` (opts.profile
+  /// is implied; opts.sink must be unset) and renders the plan tree with
+  /// estimated vs actual rows/cost per operator, the optimizer trace, and
+  /// the cost-model drift summary.
   Result<std::string> ExplainAnalyze(const Query& query,
-                                     const RunOptions& opts) const;
+                                     const RunOptions& opts = {}) const;
 
   /// A query optimized once and executable many times — amortizes the
   /// fixed optimization cost for standing/repeated queries (the regime
@@ -196,14 +156,7 @@ class Engine {
     /// budgets, parallelism). Unlike Engine::Run there is no degradation
     /// re-plan here — the plan is fixed; a cache-budget trip surfaces as
     /// the ResourceExhausted degradation signal for the caller to handle.
-    Result<QueryResult> Run(const RunOptions& opts) const;
-
-    /// Convenience: library-default RunOptions, stats collection only.
-    Result<QueryResult> Run(AccessStats* stats = nullptr) const {
-      RunOptions opts;
-      opts.stats = stats;
-      return Run(opts);
-    }
+    Result<QueryResult> Run(const RunOptions& opts = {}) const;
     const PhysicalPlan& plan() const { return plan_; }
 
    private:
@@ -232,32 +185,34 @@ class Engine {
   /// catalog contents) live and is safe to Run() from multiple threads.
   Result<PreparedQuery> Prepare(const Query& query) const;
 
-  /// §5.1 sequence groupings: runs the same query graph template over a
-  /// group of same-schema sequences. `graph_for` receives each member name
-  /// and returns the graph to run. Returns results keyed by member name.
-  Result<std::map<std::string, QueryResult>> RunGrouped(
-      const std::vector<std::string>& members,
-      const std::function<LogicalOpPtr(const std::string&)>& graph_for,
-      std::optional<Span> range = std::nullopt,
-      AccessStats* stats = nullptr) const;
-
  private:
-  // The single execution workhorse behind every Run shape. The outer
-  // RunWithOptions owns the always-on telemetry envelope — query-registry
-  // ticket, run counters/latency histogram, slow-query log — around the
-  // Impl, which optimizes (with trace when profiling), records the
-  // morsel-parallelism decision, executes (plain / profiled / sink), and
-  // re-plans cache-free on the cache-budget degradation signal (non-sink
-  // paths only — sunk rows can't be unsent).
-  Result<QueryResult> RunWithOptions(const Query& query,
-                                     const ExecOptions& exec, bool profile,
-                                     const RowSink& sink,
-                                     AccessStats* stats) const;
-  Result<QueryResult> RunWithOptionsImpl(const Query& query,
-                                         const ExecOptions& exec, bool profile,
-                                         const RowSink& sink,
-                                         AccessStats* stats,
-                                         QueryRegistry::Ticket& ticket) const;
+  /// How a planning call uses the plan cache: not at all (Plan, Explain,
+  /// opted-out runs), read then publish on a miss (Prepare, unprofiled
+  /// Run), or publish only (profiled runs — they must produce a real
+  /// optimizer trace, so they always re-optimize but still refresh the
+  /// cached template).
+  enum class CacheUse { kBypass, kRead, kRefresh };
+
+  struct PlannedQuery {
+    Query inlined;  // `query` with every view reference inlined
+    PhysicalPlan plan;
+    bool from_cache = false;  // the plan skipped the optimizer
+  };
+
+  /// The one planning entry behind Plan, Prepare, Run, Explain and Resume:
+  /// inline views → plan-cache read → optimize via `optimizer` (whose
+  /// options select the plan and key the cache) → publish the template.
+  Result<PlannedQuery> PlanQuery(const Query& query, CacheUse use,
+                                 Optimizer& optimizer) const;
+
+  /// Run behind the always-on telemetry envelope that Run owns
+  /// (query-registry ticket, run counters/latency histogram, slow-query
+  /// log): plans, records the morsel-parallelism decision, executes
+  /// (plain / profiled / sink / checkpointed), and re-plans cache-free on
+  /// the cache-budget degradation signal (non-sink paths only — sunk rows
+  /// can't be unsent).
+  Result<QueryResult> RunPlanned(const Query& query, const RunOptions& opts,
+                                 QueryRegistry::Ticket& ticket) const;
 
   /// The checkpointed execution driver behind Run (exec.checkpoint.enabled)
   /// and Resume: drives Executor::ExecuteCheckpointed and, when a suspend
@@ -273,45 +228,15 @@ class Engine {
                                       AccessStats* stats,
                                       QueryRegistry::Ticket& ticket) const;
 
-  // Plan-cache plumbing (docs/execution.md, "plan cache") ------------------
-
   /// Everything literal-independent that selects a plan: engine identity,
   /// catalog version and the planning-relevant optimizer options. The
-  /// query-shape signature (graph tier) or normalized text (text tier) is
-  /// appended to form the full cache key.
+  /// query-shape signature is appended to form the full cache key.
   std::string PlanKeyPrefix(const OptimizerOptions& opt_options) const;
-
-  /// The one planning entry point behind Run/Prepare: answers from the
-  /// plan cache when possible, otherwise optimizes `inlined` via
-  /// `optimizer` and publishes the resulting template. `allow_read` is
-  /// false for profiled runs — they must produce a real optimizer trace,
-  /// so they always re-optimize but still refresh the cached template.
-  /// Sets *from_cache when the returned plan skipped the optimizer.
-  Result<PhysicalPlan> PlanViaCache(const Query& inlined,
-                                    const OptimizerOptions& opt_options,
-                                    Optimizer& optimizer, bool use_cache,
-                                    bool allow_read, bool* from_cache) const;
 
   /// Publishes an optimized template (called on every cache miss).
   void InsertPlanEntry(const std::string& key, ParameterizedQuery pq,
                        const PhysicalPlan& plan, const Optimizer& optimizer,
-                       const OptimizerOptions& opt_options,
                        const Query& inlined) const;
-
-  /// Records the text-shape → plan-key resolution after a successful
-  /// parse-path RunText, deciding whether the shape is text-bindable.
-  void InsertTextEntry(const std::string& text_key, const NormalizedQuery& nq,
-                       const ParsedProgram& program, const Query& query) const;
-
-  /// Executes an already-bound cached plan for RunText with the full
-  /// telemetry envelope. Sets *budget_tripped (and returns the error) when
-  /// the run hit the cache-memory budget — the caller then falls back to
-  /// the parse path, whose degradation re-plan handles it.
-  Result<QueryResult> RunCachedPlanText(const std::string& source,
-                                        const std::string& shape,
-                                        const PhysicalPlan& plan,
-                                        const RunOptions& opts,
-                                        bool* budget_tripped) const;
 
   Catalog catalog_;
   OptimizerOptions options_;

@@ -116,36 +116,6 @@ void PlanCache::CountRecostFallback() {
   Metrics().recost_fallbacks.Add();
 }
 
-std::shared_ptr<const TextShapeEntry> PlanCache::LookupText(
-    const std::string& key) {
-  if (!enabled()) return nullptr;
-  std::lock_guard<std::mutex> lock(text_mu_);
-  auto it = text_map_.find(key);
-  if (it == text_map_.end()) return nullptr;
-  text_lru_.splice(text_lru_.begin(), text_lru_, it->second.lru_it);
-  text_hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.entry;
-}
-
-void PlanCache::InsertText(const std::string& key,
-                           std::shared_ptr<const TextShapeEntry> entry) {
-  if (!enabled() || entry == nullptr) return;
-  std::lock_guard<std::mutex> lock(text_mu_);
-  auto it = text_map_.find(key);
-  if (it != text_map_.end()) {
-    it->second.entry = std::move(entry);
-    text_lru_.splice(text_lru_.begin(), text_lru_, it->second.lru_it);
-    return;
-  }
-  text_lru_.push_front(key);
-  text_map_.emplace(key,
-                    TextSlot{std::move(entry), text_lru_.begin()});
-  while (text_map_.size() > max_entries_ && !text_lru_.empty()) {
-    text_map_.erase(text_lru_.back());
-    text_lru_.pop_back();
-  }
-}
-
 void PlanCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -153,9 +123,6 @@ void PlanCache::Clear() {
     shard.lru.clear();
     shard.bytes = 0;
   }
-  std::lock_guard<std::mutex> lock(text_mu_);
-  text_map_.clear();
-  text_lru_.clear();
 }
 
 void PlanCache::InvalidateEngine(uint64_t engine_id) {
@@ -168,17 +135,6 @@ void PlanCache::InvalidateEngine(uint64_t engine_id) {
         shard.lru.erase(it->second.lru_it);
         it = shard.map.erase(it);
         ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(text_mu_);
-    for (auto it = text_map_.begin(); it != text_map_.end();) {
-      if (it->second.entry->engine_id == engine_id) {
-        text_lru_.erase(it->second.lru_it);
-        it = text_map_.erase(it);
       } else {
         ++it;
       }
@@ -211,7 +167,6 @@ PlanCacheStats PlanCache::Stats() const {
   out.evictions = evictions_.load(std::memory_order_relaxed);
   out.invalidations = invalidations_.load(std::memory_order_relaxed);
   out.recost_fallbacks = recost_fallbacks_.load(std::memory_order_relaxed);
-  out.text_hits = text_hits_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -231,7 +186,7 @@ std::string PlanCache::ToString(size_t limit) const {
   } else {
     oss << "n/a";
   }
-  oss << ") text_hits=" << s.text_hits << "\n";
+  oss << ")\n";
   oss << "  inserts=" << s.inserts << " evictions=" << s.evictions
       << " invalidations=" << s.invalidations
       << " recost_fallbacks=" << s.recost_fallbacks << "\n";

@@ -59,22 +59,6 @@ struct PlanCacheEntry {
 
 using PlanCacheEntryPtr = std::shared_ptr<const PlanCacheEntry>;
 
-/// Resolution of a query text shape to a plan-cache key, cached so the
-/// text fast path (Engine::RunText) can skip the lexer and parser
-/// entirely: normalize the text, look up its shape here, bind the
-/// extracted literal tokens straight into the plan found under
-/// `plan_key`.
-struct TextShapeEntry {
-  std::string plan_key;
-  std::vector<TypeId> param_types;
-  /// False when the statement's extracted text literals do not correspond
-  /// 1:1 with the graph's parameters (multi-statement programs, bool
-  /// literals, folded predicates) — then the text tier only records the
-  /// miss and the parse path is taken.
-  bool bindable = false;
-  uint64_t engine_id = 0;
-};
-
 /// Counters and occupancy snapshot for `.plancache stats`, tests and the
 /// metrics exporters.
 struct PlanCacheStats {
@@ -89,7 +73,6 @@ struct PlanCacheStats {
   uint64_t evictions = 0;
   uint64_t invalidations = 0;
   uint64_t recost_fallbacks = 0;
-  uint64_t text_hits = 0;
 };
 
 /// The process-wide parameterized plan cache (docs/execution.md, "plan
@@ -120,14 +103,8 @@ class PlanCache {
   /// then re-optimizes and usually Inserts a refreshed entry).
   void CountRecostFallback();
 
-  /// Text tier -------------------------------------------------------------
-  /// Returns the text-shape resolution under `key`, or nullptr.
-  std::shared_ptr<const TextShapeEntry> LookupText(const std::string& key);
-  void InsertText(const std::string& key,
-                  std::shared_ptr<const TextShapeEntry> entry);
-
   /// Maintenance ------------------------------------------------------------
-  /// Drops every entry (both tiers). Counters are kept.
+  /// Drops every entry. Counters are kept.
   void Clear();
   /// Drops every entry belonging to `engine_id` — called when an engine
   /// mutates its catalog (register/view/materialize) or is destroyed.
@@ -177,21 +154,12 @@ class PlanCache {
 
   Shard shards_[kShards];
 
-  mutable std::mutex text_mu_;
-  std::list<std::string> text_lru_;
-  struct TextSlot {
-    std::shared_ptr<const TextShapeEntry> entry;
-    std::list<std::string>::iterator lru_it;
-  };
-  std::unordered_map<std::string, TextSlot> text_map_;
-
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> invalidations_{0};
   std::atomic<uint64_t> recost_fallbacks_{0};
-  std::atomic<uint64_t> text_hits_{0};
 };
 
 /// RAII engine identity for plan-cache keys. Every Engine owns one; its

@@ -198,7 +198,7 @@ Result<ExecuteReply> LocalSession::RunGraph(const LogicalOpPtr& graph,
   if (options_.sink) opts.sink = options_.sink;
   std::shared_lock<std::shared_mutex> lock(*gate_);
   SEQ_ASSIGN_OR_RETURN(QueryResult result,
-                       engine_->Run(graph, range_, opts));
+                       engine_->Run({graph, range_}, opts));
   reply.is_rows = true;
   reply.schema = result.schema;
   reply.rows = std::move(result.records);

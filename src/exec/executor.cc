@@ -2089,4 +2089,20 @@ std::string QueryResult::ToString(size_t limit) const {
   return oss.str();
 }
 
+Result<QueryResult> RunCacheFree(const Catalog& catalog, const Query& query,
+                                 OptimizerOptions options,
+                                 const ExecOptions& exec, AccessStats* stats,
+                                 QueryProfile* profile, MorselPlan* morsels) {
+  options.cost_params.disable_window_cache = true;
+  options.cost_params.disable_incremental_value_offset = true;
+  Optimizer optimizer(catalog, options);
+  SEQ_ASSIGN_OR_RETURN(PhysicalPlan plan, optimizer.Optimize(query));
+  Executor executor(catalog, options.cost_params, exec);
+  if (morsels != nullptr) *morsels = executor.PlanMorsels(plan);
+  if (profile == nullptr) return executor.Execute(plan, stats);
+  Result<QueryResult> result = executor.ExecuteProfiled(plan, profile, stats);
+  profile->optimizer = optimizer.trace();
+  return result;
+}
+
 }  // namespace seq

@@ -15,6 +15,7 @@
 #include "exec/scheduler.h"
 #include "obs/profile.h"
 #include "obs/query_registry.h"
+#include "optimizer/optimizer.h"
 #include "optimizer/physical_plan.h"
 
 namespace seq {
@@ -277,6 +278,20 @@ class Executor {
   CostParams params_;
   ExecOptions options_;
 };
+
+/// Graceful cache-budget degradation (docs/robustness.md), shared by
+/// Engine::Run and StreamSession::Poll: after a run trips
+/// QueryGuards::max_cache_bytes, re-plans `query` under `options` with
+/// every operator cache (Cache-Strategy-A windows, Cache-Strategy-B offset
+/// caches) disabled, so the fallback plan cannot trip the budget again,
+/// and executes it. With `profile` set the run is profiled into it and
+/// profile->optimizer receives the re-plan's trace; `morsels`, when set,
+/// receives the fallback plan's driving decision.
+Result<QueryResult> RunCacheFree(const Catalog& catalog, const Query& query,
+                                 OptimizerOptions options,
+                                 const ExecOptions& exec, AccessStats* stats,
+                                 QueryProfile* profile = nullptr,
+                                 MorselPlan* morsels = nullptr);
 
 }  // namespace seq
 

@@ -346,8 +346,7 @@ void QueryScheduler::RunGroup(size_t n_tasks, int share_cap,
     return;
   }
   // Wait/poll loop with the completion predicate re-checked before every
-  // re-arm (the old ThreadPool::Wait kept waking — and polling — every
-  // millisecond after its pending count hit zero mid-wait). The poll
+  // re-arm, so polling stops once the pending count hits zero. The poll
   // callback forwards the caller's cancellation flag to workers deep
   // inside a blocking operator; it must stop the instant the group
   // finishes so a completed query never observes a stale cancel.

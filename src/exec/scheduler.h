@@ -63,19 +63,17 @@ struct SchedulerStats {
 /// morsels of every parallel query in the process, fed through an
 /// admission controller that bounds how many queries run at once.
 ///
-/// Replaces the per-query owned ThreadPool (PR 5): N concurrent 8-way
-/// queries used to spawn 8N threads with nothing bounding total load; now
-/// the pool is a fixed, process-wide resource (default hardware
+/// The pool is a fixed, process-wide resource (default hardware
 /// concurrency, SEQ_SCHED_WORKERS env, `.sched workers <n>` in seqsh) and
 /// ExecOptions::parallelism is a per-query *share cap* — the most workers
 /// that may run one query's morsels concurrently — not a thread count.
 ///
 /// Scheduling is per-query fair round-robin: workers claim tasks one at a
 /// time, rotating across the runnable task groups of the highest non-empty
-/// priority class; within a group, tasks are claimed strictly FIFO (the
-/// old per-query pool drained its queue LIFO via pop_back — morsel order
-/// now matches submission order). Results stay byte-identical to serial
-/// regardless: the executor merges per-morsel output in morsel order.
+/// priority class; within a group, tasks are claimed strictly FIFO, so
+/// morsel order matches submission order. Results stay byte-identical to
+/// serial regardless: the executor merges per-morsel output in morsel
+/// order.
 ///
 /// Admission: a query asking for parallel execution first takes an
 /// admission slot. At most `max_running` queries hold slots; beyond that,

@@ -1,6 +1,7 @@
 #include "exec/stream_session.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "exec/checkpoint.h"
 #include "logical/scope.h"
@@ -84,40 +85,36 @@ Result<std::vector<PosRecord>> StreamSession::Poll(AccessStats* stats) {
                                                 : high_water_ + 1;
   if (from > frontier) return std::vector<PosRecord>{};
 
-  // Once a poll degrades, stay degraded: the cache that blew the budget
-  // would blow it again on every subsequent poll.
-  OptimizerOptions options = options_;
-  if (degraded_) {
-    options.cost_params.disable_window_cache = true;
-    options.cost_params.disable_incremental_value_offset = true;
-  }
-  Optimizer optimizer(*catalog_, options);
   Query query;
   query.graph = graph_;
   query.range = Span::Of(from, frontier);
-  SEQ_ASSIGN_OR_RETURN(PhysicalPlan plan, optimizer.Optimize(query));
-  Executor executor(*catalog_, options.cost_params, exec_options_);
+  // Each attempt charges into local stats, so a degraded retry does not
+  // leak the aborted attempt's counters into the caller's totals.
   AccessStats attempt_stats;
-  Result<QueryResult> result =
-      executor.Execute(plan, stats != nullptr ? &attempt_stats : nullptr);
-  if (!result.ok() && IsCacheBudgetExceeded(result.status())) {
-    // Graceful degradation: re-plan this poll (and all later ones) with
-    // operator caches disabled instead of failing the standing query. The
-    // high-water mark has not advanced, so no answers are lost.
-    degraded_ = true;
-    options.cost_params.disable_window_cache = true;
-    options.cost_params.disable_incremental_value_offset = true;
-    Optimizer degraded_optimizer(*catalog_, options);
-    SEQ_ASSIGN_OR_RETURN(PhysicalPlan fallback,
-                         degraded_optimizer.Optimize(query));
-    Executor degraded_executor(*catalog_, options.cost_params, exec_options_);
-    result = degraded_executor.Execute(fallback, stats);
-  } else if (result.ok() && stats != nullptr) {
-    *stats += attempt_stats;
+  AccessStats* attempt = stats != nullptr ? &attempt_stats : nullptr;
+  std::optional<Result<QueryResult>> result;
+  if (!degraded_) {
+    Optimizer optimizer(*catalog_, options_);
+    SEQ_ASSIGN_OR_RETURN(PhysicalPlan plan, optimizer.Optimize(query));
+    result = Executor(*catalog_, options_.cost_params, exec_options_)
+                 .Execute(plan, attempt);
+    if (!result->ok() && IsCacheBudgetExceeded(result->status())) {
+      // Graceful degradation: re-plan this poll (and all later ones) with
+      // operator caches disabled instead of failing the standing query —
+      // the cache that blew the budget would blow it again on every later
+      // poll. The high-water mark has not advanced, so no answers are lost.
+      degraded_ = true;
+      result.reset();
+      attempt_stats.Reset();
+    }
   }
-  SEQ_RETURN_IF_ERROR(result.status());
+  if (!result.has_value()) {
+    result = RunCacheFree(*catalog_, query, options_, exec_options_, attempt);
+  }
+  SEQ_RETURN_IF_ERROR(result->status());
+  if (stats != nullptr) *stats += attempt_stats;
   high_water_ = frontier;
-  return std::move(result.value().records);
+  return std::move(result->value().records);
 }
 
 Status StreamSession::Suspend(const std::string& checkpoint_path) const {

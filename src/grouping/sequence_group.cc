@@ -32,7 +32,18 @@ Result<SequenceGroup> SequenceGroup::Create(const Engine* engine,
 Result<std::map<std::string, QueryResult>> SequenceGroup::Map(
     const GraphTemplate& graph_for, std::optional<Span> range,
     AccessStats* stats) const {
-  return engine_->RunGrouped(members_, graph_for, range, stats);
+  std::map<std::string, QueryResult> out;
+  for (const std::string& member : members_) {
+    LogicalOpPtr graph = graph_for(member);
+    if (graph == nullptr) {
+      return Status::InvalidArgument("grouped query produced no graph for '" +
+                                     member + "'");
+    }
+    SEQ_ASSIGN_OR_RETURN(QueryResult result,
+                         engine_->Run({graph, range}, {.stats = stats}));
+    out.emplace(member, std::move(result));
+  }
+  return out;
 }
 
 Result<SequenceGroup> SequenceGroup::Filter(const GraphTemplate& condition_for,
@@ -84,7 +95,7 @@ Result<QueryResult> SequenceGroup::PositionalAgg(AggFunc func,
   for (const std::string& member : members_) {
     SEQ_ASSIGN_OR_RETURN(
         QueryResult member_result,
-        engine_->Run(LogicalOp::BaseRef(member), range, stats));
+        engine_->Run({LogicalOp::BaseRef(member), range}, {.stats = stats}));
     streams.push_back(std::move(member_result.records));
   }
 

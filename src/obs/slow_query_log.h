@@ -10,8 +10,9 @@
 #include <vector>
 
 // NormalizeQueryText lives in common/query_digest.h so the slow-query log
-// and the plan cache key on the identical shape implementation; included
-// here so existing callers of the digest through this header keep working.
+// and the plan cache's display text share one shape implementation;
+// included here so existing callers of the digest through this header keep
+// working.
 #include "common/query_digest.h"
 
 namespace seq {

@@ -16,22 +16,24 @@ namespace seq {
 
 /// A sequence query per the Fig. 6 template: a sequence query graph plus
 /// how it is asked — all positions in a range, or a list of specific
-/// positions (the Position Sequence of the template).
+/// positions (the Position Sequence of the template). An aggregate whose
+/// members all have defaults, so `{graph, range}` and
+/// `{.graph = g, .positions = {3, 6}}` both spell a query.
 struct Query {
-  LogicalOpPtr graph;
+  LogicalOpPtr graph = nullptr;
 
   /// Range query: all positions in `range` (if unset, the graph's own span
   /// bounded by its base sequences).
-  std::optional<Span> range;
+  std::optional<Span> range = std::nullopt;
 
   /// Point query: exactly these positions (overrides `range` when
   /// non-empty). Must be sorted ascending.
-  std::vector<Position> positions;
+  std::vector<Position> positions = {};
 
   /// Fig. 6's Position Sequence proper: the name of a base sequence whose
   /// record positions are the positions queried (intersected with `range`
   /// when set). Overrides `positions`.
-  std::string position_sequence;
+  std::string position_sequence = {};
 };
 
 /// Switches for ablation benchmarks; everything on by default.
@@ -56,6 +58,8 @@ class Optimizer {
   /// Runs Steps 1–6 and returns the selected evaluation plan. The input
   /// graph is cloned; the caller's graph is never modified.
   Result<PhysicalPlan> Optimize(const Query& query);
+
+  const OptimizerOptions& options() const { return options_; }
 
   /// Enumeration counters of the last Optimize call (Property 4.1).
   const PlannerStats& planner_stats() const { return planner_stats_; }

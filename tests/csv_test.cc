@@ -98,7 +98,7 @@ TEST(CsvTest, LoadedSequenceIsQueryable) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(engine.RegisterBase("weather", *store).ok());
   auto result = engine.Run(
-      SeqRef("weather").Select(Gt(Col("temp"), Lit(20.0))).Build());
+      {SeqRef("weather").Select(Gt(Col("temp"), Lit(20.0))).Build()});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->records.size(), 3u);
 }

@@ -32,9 +32,9 @@ TEST_F(EngineTest, ViewInlinesIntoQueries) {
                       SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{500})))
                           .Build())
           .ok());
-  auto via_view = engine_.Run(SeqRef("high").Build());
+  auto via_view = engine_.Run({SeqRef("high").Build()});
   auto direct = engine_.Run(
-      SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{500}))).Build());
+      {SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{500}))).Build()});
   ASSERT_TRUE(via_view.ok()) << via_view.status();
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(via_view->records.size(), direct->records.size());
@@ -51,7 +51,7 @@ TEST_F(EngineTest, ViewUsedTwiceStaysATree) {
                .ComposeWith(SeqRef("avg3").Offset(1),
                             Gt(Col("avg_value", 0), Col("avg_value", 1)))
                .Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(result->records.size(), 0u);
 }
@@ -68,7 +68,7 @@ TEST_F(EngineTest, ViewsComposeWithViews) {
                               SeqRef("a").Agg(AggFunc::kMax, "value", 5)
                                   .Build())
                   .ok());
-  auto result = engine_.Run(SeqRef("b").Build());
+  auto result = engine_.Run({SeqRef("b").Build()});
   ASSERT_TRUE(result.ok()) << result.status();
 }
 
@@ -100,8 +100,8 @@ TEST_F(EngineTest, MaterializeRegistersDerivedSequence) {
   EXPECT_GT((*entry)->store->num_records(), 0);
 
   // Querying the materialization equals querying the definition.
-  auto from_view = engine_.Run(graph);
-  auto from_base = engine_.Run(SeqRef("sums").Build());
+  auto from_view = engine_.Run({graph});
+  auto from_base = engine_.Run({SeqRef("sums").Build()});
   ASSERT_TRUE(from_view.ok());
   ASSERT_TRUE(from_base.ok());
   ASSERT_EQ(from_view->records.size(), from_base->records.size());
@@ -114,34 +114,6 @@ TEST_F(EngineTest, MaterializeRejectsNameClashes) {
   EXPECT_FALSE(engine_.Materialize("s", graph).ok());
   ASSERT_TRUE(engine_.DefineView("v", graph).ok());
   EXPECT_FALSE(engine_.Materialize("v", graph).ok());
-}
-
-// --- grouped queries (§5.1) -----------------------------------------------------
-
-TEST_F(EngineTest, RunGroupedAppliesTemplatePerMember) {
-  for (int i = 0; i < 3; ++i) {
-    IntSeriesOptions options;
-    options.span = Span::Of(0, 99);
-    options.density = 1.0;
-    options.seed = 100 + i;
-    options.min_value = i * 100;  // distinct ranges per member
-    options.max_value = i * 100 + 50;
-    ASSERT_TRUE(engine_
-                    .RegisterBase("g" + std::to_string(i),
-                                  *MakeIntSeries(options))
-                    .ok());
-  }
-  auto results = engine_.RunGrouped(
-      {"g0", "g1", "g2"},
-      [](const std::string& member) {
-        return SeqRef(member)
-            .Select(Ge(Col("value"), Lit(int64_t{100})))
-            .Build();
-      });
-  ASSERT_TRUE(results.ok()) << results.status();
-  EXPECT_EQ((*results)["g0"].records.size(), 0u);   // values < 51
-  EXPECT_EQ((*results)["g1"].records.size(), 100u);  // values 100..150
-  EXPECT_EQ((*results)["g2"].records.size(), 100u);
 }
 
 // --- explain -----------------------------------------------------------------
@@ -230,7 +202,7 @@ TEST(PreparedQueryTest, RunsRepeatedlyAndMatchesAdHoc) {
   ASSERT_TRUE(ad_hoc.ok());
   for (int i = 0; i < 3; ++i) {
     AccessStats stats;
-    auto result = prepared->Run(&stats);
+    auto result = prepared->Run({.stats = &stats});
     ASSERT_TRUE(result.ok()) << result.status();
     ASSERT_EQ(result->records.size(), ad_hoc->records.size());
     EXPECT_GT(stats.stream_records, 0);

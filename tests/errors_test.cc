@@ -31,45 +31,44 @@ class ErrorsTest : public ::testing::Test {
 };
 
 TEST_F(ErrorsTest, UnknownSequence) {
-  auto r = engine_.Run(SeqRef("ghost").Build());
+  auto r = engine_.Run({SeqRef("ghost").Build()});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   EXPECT_NE(r.status().message().find("ghost"), std::string::npos);
 }
 
 TEST_F(ErrorsTest, UnknownColumnInSelect) {
-  auto r = engine_.Run(
-      SeqRef("s").Select(Gt(Col("nope"), Lit(1.0))).Build());
+  auto r = engine_.Run({SeqRef("s").Select(Gt(Col("nope"), Lit(1.0))).Build()});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(ErrorsTest, UnknownColumnInProjectAggCollapse) {
-  EXPECT_FALSE(engine_.Run(SeqRef("s").Project({"zz"}).Build()).ok());
+  EXPECT_FALSE(engine_.Run({SeqRef("s").Project({"zz"}).Build()}).ok());
   EXPECT_FALSE(
-      engine_.Run(SeqRef("s").Agg(AggFunc::kSum, "zz", 3).Build()).ok());
+      engine_.Run({SeqRef("s").Agg(AggFunc::kSum, "zz", 3).Build()}).ok());
   EXPECT_FALSE(
-      engine_.Run(SeqRef("s").Collapse(5, AggFunc::kSum, "zz").Build())
+      engine_.Run({SeqRef("s").Collapse(5, AggFunc::kSum, "zz").Build()})
           .ok());
 }
 
 TEST_F(ErrorsTest, TypeErrors) {
   // Comparing int column to string literal.
-  auto r1 = engine_.Run(
-      SeqRef("s").Select(Gt(Col("value"), Lit("abc"))).Build());
+  auto r1 =
+      engine_.Run({SeqRef("s").Select(Gt(Col("value"), Lit("abc"))).Build()});
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kTypeError);
   // Non-bool predicate.
   auto r2 = engine_.Run(
-      SeqRef("s").Select(Add(Col("value"), Lit(int64_t{1}))).Build());
+      {SeqRef("s").Select(Add(Col("value"), Lit(int64_t{1}))).Build()});
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kTypeError);
 }
 
 TEST_F(ErrorsTest, ComposePredicateSideValidation) {
   // A right-side reference in a single-input select.
-  auto r = engine_.Run(
-      SeqRef("s").Select(Gt(Col("value", 1), Lit(1.0))).Build());
+  auto r =
+      engine_.Run({SeqRef("s").Select(Gt(Col("value", 1), Lit(1.0))).Build()});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kTypeError);
 }
@@ -79,8 +78,8 @@ TEST_F(ErrorsTest, ConstantRefToBaseAndViceVersa) {
   ASSERT_TRUE(engine_
                   .RegisterConstant("c", cschema, Record{Value::Double(1.0)})
                   .ok());
-  EXPECT_FALSE(engine_.Run(ConstRef("s").Build()).ok());
-  EXPECT_FALSE(engine_.Run(SeqRef("c").Build()).ok());
+  EXPECT_FALSE(engine_.Run({ConstRef("s").Build()}).ok());
+  EXPECT_FALSE(engine_.Run({SeqRef("c").Build()}).ok());
 }
 
 TEST_F(ErrorsTest, UnboundedQueryOverConstantsRejected) {
@@ -89,11 +88,11 @@ TEST_F(ErrorsTest, UnboundedQueryOverConstantsRejected) {
                   .RegisterConstant("c", cschema, Record{Value::Double(1.0)})
                   .ok());
   // A constant alone has no finite span and no base to bound it.
-  auto r = engine_.Run(ConstRef("c").Build());
+  auto r = engine_.Run({ConstRef("c").Build()});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // With an explicit range it works and is dense.
-  auto bounded = engine_.Run(ConstRef("c").Build(), Span::Of(1, 5));
+  auto bounded = engine_.Run({ConstRef("c").Build(), Span::Of(1, 5)});
   ASSERT_TRUE(bounded.ok()) << bounded.status();
   EXPECT_EQ(bounded->records.size(), 5u);
 }
@@ -108,10 +107,10 @@ TEST_F(ErrorsTest, UnsortedPointPositionsRejected) {
 }
 
 TEST_F(ErrorsTest, EmptyRangeYieldsEmptyResultNotError) {
-  auto r = engine_.Run(SeqRef("s").Build(), Span::Of(500, 600));
+  auto r = engine_.Run({SeqRef("s").Build(), Span::Of(500, 600)});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->records.empty());
-  auto r2 = engine_.Run(SeqRef("s").Build(), Span::Empty());
+  auto r2 = engine_.Run({SeqRef("s").Build(), Span::Empty()});
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->records.empty());
 }
@@ -157,7 +156,7 @@ TEST_F(ErrorsTest, RecordKFaultCarriesOperatorLabelAndPosition) {
       RunOptions opts;
       opts.exec.use_batch = use_batch;
       opts.exec.fault_injector = &injector;
-      auto r = engine_.Run(c.query.Build(), Span::Of(0, 99), opts);
+      auto r = engine_.Run({c.query.Build(), Span::Of(0, 99)}, opts);
       std::string label = std::string(c.name) +
                           (use_batch ? " [batch]" : " [tuple]");
       ASSERT_FALSE(r.ok()) << label;
@@ -211,7 +210,7 @@ TEST_F(ErrorsTest, OpenFaultNamesEveryOperatorKind) {
       injector.ArmAfter(FaultSite::kOperatorOpen, k);
       RunOptions opts;
       opts.exec.fault_injector = &injector;
-      auto r = engine_.Run(c.query.Build(), Span::Of(0, 99), opts);
+      auto r = engine_.Run({c.query.Build(), Span::Of(0, 99)}, opts);
       if (injector.fired() == 0) {
         // Fewer than k Opens in the whole plan: the sweep is done.
         EXPECT_TRUE(r.ok()) << c.want_label_prefix << " k=" << k << ": "
@@ -279,7 +278,7 @@ TEST(ConcurrencyTest, ParallelQueriesOnSharedEngine) {
                    .Select(Gt(Col("close"), Lit(95.0)))
                    .Agg(AggFunc::kAvg, "close", 7)
                    .Build();
-  auto reference = engine.Run(query);
+  auto reference = engine.Run({query});
   ASSERT_TRUE(reference.ok());
   size_t expected = reference->records.size();
 
@@ -288,7 +287,7 @@ TEST(ConcurrencyTest, ParallelQueriesOnSharedEngine) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&]() {
       for (int i = 0; i < 20; ++i) {
-        auto result = engine.Run(query);
+        auto result = engine.Run({query});
         if (!result.ok() || result->records.size() != expected) {
           ++failures;
         }

@@ -345,8 +345,8 @@ TEST_F(AblationTest, WindowCacheAblationPreservesResults) {
   Engine naive = MakeEngine(true, false);
   auto q = SeqRef("s").Agg(AggFunc::kAvg, "close", 6).Build();
   AccessStats s1, s2;
-  auto r1 = cached.Run(q, Span::Of(1, 505), &s1);
-  auto r2 = naive.Run(q, Span::Of(1, 505), &s2);
+  auto r1 = cached.Run({q, Span::Of(1, 505)}, {.stats = &s1});
+  auto r2 = naive.Run({q, Span::Of(1, 505)}, {.stats = &s2});
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r2.ok()) << r2.status();
   ExpectSameResults(*r1, *r2);
@@ -361,8 +361,8 @@ TEST_F(AblationTest, ValueOffsetAblationPreservesResults) {
   Engine naive = MakeEngine(false, true);
   auto q = SeqRef("s").Prev().Build();
   AccessStats s1, s2;
-  auto r1 = cached.Run(q, Span::Of(1, 500), &s1);
-  auto r2 = naive.Run(q, Span::Of(1, 500), &s2);
+  auto r1 = cached.Run({q, Span::Of(1, 500)}, {.stats = &s1});
+  auto r2 = naive.Run({q, Span::Of(1, 500)}, {.stats = &s2});
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r2.ok()) << r2.status();
   ExpectSameResults(*r1, *r2);
@@ -374,7 +374,7 @@ TEST_F(AblationTest, ForcedProbedRootPreservesResults) {
   OptimizerOptions stream_options;
   Engine engine = MakeEngine(false, false);
   auto q = SeqRef("s").Select(Gt(Col("close"), Lit(90.0))).Build();
-  auto streamed = engine.Run(q, Span::Of(1, 500));
+  auto streamed = engine.Run({q, Span::Of(1, 500)});
   ASSERT_TRUE(streamed.ok());
 
   OptimizerOptions options;
@@ -386,7 +386,7 @@ TEST_F(AblationTest, ForcedProbedRootPreservesResults) {
   stock.seed = 11;
   ASSERT_TRUE(probed_engine.RegisterBase("s", *MakeStockSeries(stock)).ok());
   AccessStats stats;
-  auto probed = probed_engine.Run(q, Span::Of(1, 500), &stats);
+  auto probed = probed_engine.Run({q, Span::Of(1, 500)}, {.stats = &stats});
   ASSERT_TRUE(probed.ok()) << probed.status();
   ExpectSameResults(*streamed, *probed);
   EXPECT_GT(stats.probes, 0);

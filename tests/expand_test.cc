@@ -34,7 +34,7 @@ class ExpandTest : public ::testing::Test {
 
 TEST_F(ExpandTest, ReplicatesEachBucket) {
   // Weekly viewed daily (factor 7): week w covers days [7w, 7w+6].
-  auto result = engine_.Run(SeqRef("weekly").Expand(7).Build());
+  auto result = engine_.Run({SeqRef("weekly").Expand(7).Build()});
   ASSERT_TRUE(result.ok()) << result.status();
   // Weeks 1,2,4 × 7 days each.
   ASSERT_EQ(result->records.size(), 21u);
@@ -52,12 +52,12 @@ TEST_F(ExpandTest, ReplicatesEachBucket) {
 
 TEST_F(ExpandTest, RangeRestrictsAndProbesWork) {
   auto graph = SeqRef("weekly").Expand(7).Build();
-  auto window = engine_.Run(graph, Span::Of(10, 16));
+  auto window = engine_.Run({graph, Span::Of(10, 16)});
   ASSERT_TRUE(window.ok());
   ASSERT_EQ(window->records.size(), 7u);  // days 10..13 (w1), 14..16 (w2)
   EXPECT_EQ(window->records[0].pos, 10);
 
-  auto points = engine_.RunAt(graph, {8, 22, 30});
+  auto points = engine_.Run({.graph = graph, .positions = {8, 22, 30}});
   ASSERT_TRUE(points.ok());
   ASSERT_EQ(points->records.size(), 2u);  // day 22 is in the week-3 gap
   EXPECT_DOUBLE_EQ(points->records[0].rec[0].dbl(), 10.0);
@@ -69,7 +69,7 @@ TEST_F(ExpandTest, MatchesReferenceOracle) {
                                         Span::Of(-10, 100));
   for (int64_t factor : {1, 2, 7}) {
     auto graph = SeqRef("weekly").Expand(factor).Build();
-    auto engine_result = engine_.Run(graph, Span::Of(0, 50));
+    auto engine_result = engine_.Run({graph, Span::Of(0, 50)});
     ASSERT_TRUE(engine_result.ok()) << engine_result.status();
     auto oracle = reference.Materialize(*graph, Span::Of(0, 50));
     ASSERT_TRUE(oracle.ok());
@@ -88,7 +88,7 @@ TEST_F(ExpandTest, CollapseOfExpandIsIdentityForIdempotentAggs) {
                    .Expand(7)
                    .Collapse(7, AggFunc::kMax, "v", "v")
                    .Build();
-  auto result = engine_.Run(graph);
+  auto result = engine_.Run({graph});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 3u);
   EXPECT_EQ(result->records[0].pos, 1);
@@ -110,7 +110,7 @@ TEST_F(ExpandTest, ComposableWithDailySequences) {
                    .ComposeWith(SeqRef("weekly").Expand(7),
                                 Gt(Col("d", 0), Col("v", 1)))
                    .Build();
-  auto result = engine_.Run(graph);
+  auto result = engine_.Run({graph});
   ASSERT_TRUE(result.ok()) << result.status();
   // Days 11..13 (week 1: d > 10), none in week 2 until d > 20.
   ASSERT_FALSE(result->records.empty());

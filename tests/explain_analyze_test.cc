@@ -53,7 +53,7 @@ TEST_F(ExplainAnalyzeTest, ProfiledRunMatchesPlainRun) {
                    .Build();
 
   AccessStats plain_stats;
-  auto plain = engine_.Run(RangeQuery(graph->Clone()), &plain_stats);
+  auto plain = engine_.Run(RangeQuery(graph->Clone()), {.stats = &plain_stats});
   ASSERT_TRUE(plain.ok()) << plain.status();
 
   AccessStats profiled_stats;

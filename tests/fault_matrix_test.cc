@@ -134,8 +134,9 @@ class FaultMatrixTest : public ::testing::Test {
     RunOptions opts = run_opts_;
     opts.stats = &out.stats;
     Result<QueryResult> r =
-        probed ? engine_.RunAt(shape.graph, {5, 9, 22, 41}, opts)
-               : engine_.Run(shape.graph, Span::Of(0, 63), opts);
+        probed ? engine_.Run(
+                     {.graph = shape.graph, .positions = {5, 9, 22, 41}}, opts)
+               : engine_.Run({shape.graph, Span::Of(0, 63)}, opts);
     out.status = r.status();
     if (r.ok()) out.result = std::move(r).value();
     return out;
@@ -316,7 +317,7 @@ TEST_F(FaultMatrixTest, RandomizedProbabilityFaults) {
 TEST_F(FaultMatrixTest, RowBudgetTripsCleanly) {
   RunOptions opts;
   opts.exec.guards.max_rows = 10;
-  auto r = engine_.Run(SeqRef("s").Build(), Span::Of(0, 63), opts);
+  auto r = engine_.Run({SeqRef("s").Build(), Span::Of(0, 63)}, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(r.status().message().find("row budget"), std::string::npos);
@@ -327,7 +328,7 @@ TEST_F(FaultMatrixTest, PageBudgetTripsEvenWithoutCallerStats) {
   opts.exec.guards.max_pages = 1;
   // No AccessStats passed: the executor must supply its own counters so
   // the page budget still binds (4 pages of 16 records here).
-  auto r = engine_.Run(SeqRef("s").Build(), Span::Of(0, 63), opts);
+  auto r = engine_.Run({SeqRef("s").Build(), Span::Of(0, 63)}, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(r.status().message().find("page-access budget"),
@@ -339,7 +340,7 @@ TEST_F(FaultMatrixTest, DeadlineTripsOnLongQuery) {
   opts.exec.guards.max_wall_ms = 1;
   // A dense constant over half a million positions takes well over 1ms to
   // drive; the deadline check at batch boundaries must stop it cleanly.
-  auto r = engine_.Run(ConstRef("c").Build(), Span::Of(1, 500000), opts);
+  auto r = engine_.Run({ConstRef("c").Build(), Span::Of(1, 500000)}, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }
@@ -348,15 +349,16 @@ TEST_F(FaultMatrixTest, CancellationFlagStopsQuery) {
   std::atomic<bool> cancel{true};
   RunOptions opts;
   opts.exec.guards.cancel = &cancel;
-  auto r = engine_.Run(SeqRef("s").Build(), Span::Of(0, 63), opts);
+  auto r = engine_.Run({SeqRef("s").Build(), Span::Of(0, 63)}, opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
 TEST_F(FaultMatrixTest, BudgetsUnarmedChangeNothing) {
   AccessStats plain;
-  auto base = engine_.Run(SeqRef("s").Agg(AggFunc::kAvg, "value", 8).Build(),
-                          Span::Of(0, 63), &plain);
+  auto base = engine_.Run(
+      {SeqRef("s").Agg(AggFunc::kAvg, "value", 8).Build(), Span::Of(0, 63)},
+      {.stats = &plain});
   ASSERT_TRUE(base.ok());
   RunOptions opts;
   opts.exec.guards.max_rows = 1000000;
@@ -364,8 +366,9 @@ TEST_F(FaultMatrixTest, BudgetsUnarmedChangeNothing) {
   opts.exec.guards.max_wall_ms = 60000;
   AccessStats guarded;
   opts.stats = &guarded;
-  auto got = engine_.Run(SeqRef("s").Agg(AggFunc::kAvg, "value", 8).Build(),
-                         Span::Of(0, 63), opts);
+  auto got = engine_.Run(
+      {SeqRef("s").Agg(AggFunc::kAvg, "value", 8).Build(), Span::Of(0, 63)},
+      opts);
   ASSERT_TRUE(got.ok()) << got.status();
   ExpectSameRows(*base, *got, "generous budgets");
   ExpectSameStats(plain, guarded, "generous budgets");
@@ -375,13 +378,13 @@ TEST_F(FaultMatrixTest, BudgetsUnarmedChangeNothing) {
 
 TEST_F(FaultMatrixTest, WindowCacheBudgetDegradesInsteadOfFailing) {
   auto query = SeqRef("s").Agg(AggFunc::kAvg, "value", 16).Build();
-  auto baseline = engine_.Run(query, Span::Of(0, 63));
+  auto baseline = engine_.Run({query, Span::Of(0, 63)});
   ASSERT_TRUE(baseline.ok());
   // A 16-entry Cache-A window cannot fit in 64 bytes; the engine must
   // re-plan cache-free and still answer, with the event in the profile.
   RunOptions opts;
   opts.exec.guards.max_cache_bytes = 64;
-  auto degraded = engine_.Run(query, Span::Of(0, 63), opts);
+  auto degraded = engine_.Run({query, Span::Of(0, 63)}, opts);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   ExpectSameRows(*baseline, *degraded, "window degradation");
 
@@ -400,11 +403,11 @@ TEST_F(FaultMatrixTest, WindowCacheBudgetDegradesInsteadOfFailing) {
 
 TEST_F(FaultMatrixTest, ValueOffsetCacheBudgetDegradesInsteadOfFailing) {
   auto query = SeqRef("sp").Prev().Build();
-  auto baseline = engine_.Run(query, Span::Of(0, 63));
+  auto baseline = engine_.Run({query, Span::Of(0, 63)});
   ASSERT_TRUE(baseline.ok());
   RunOptions opts;
   opts.exec.guards.max_cache_bytes = 16;
-  auto degraded = engine_.Run(query, Span::Of(0, 63), opts);
+  auto degraded = engine_.Run({query, Span::Of(0, 63)}, opts);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   ExpectSameRows(*baseline, *degraded, "value-offset degradation");
 }

@@ -55,6 +55,46 @@ TEST_F(GroupingTest, MapRunsTemplatePerMember) {
   EXPECT_EQ(results->at("exp2").records.size(), 10u);  // 21..30
 }
 
+TEST_F(GroupingTest, MapAppliesTemplateOverRangeWithStats) {
+  Engine engine;
+  for (int i = 0; i < 3; ++i) {
+    IntSeriesOptions options;
+    options.span = Span::Of(0, 99);
+    options.density = 1.0;
+    options.seed = 100 + i;
+    options.min_value = i * 100;  // distinct ranges per member
+    options.max_value = i * 100 + 50;
+    ASSERT_TRUE(engine
+                    .RegisterBase("g" + std::to_string(i),
+                                  *MakeIntSeries(options))
+                    .ok());
+  }
+  auto group = SequenceGroup::Create(&engine, {"g0", "g1", "g2"});
+  ASSERT_TRUE(group.ok()) << group.status();
+  const auto at_least_100 = [](const std::string& member) {
+    return SeqRef(member).Select(Ge(Col("value"), Lit(int64_t{100}))).Build();
+  };
+  AccessStats stats;
+  auto results = group->Map(at_least_100, std::nullopt, &stats);
+  ASSERT_TRUE(results.ok()) << results.status();
+  EXPECT_EQ(results->at("g0").records.size(), 0u);    // values < 51
+  EXPECT_EQ(results->at("g1").records.size(), 100u);  // values 100..150
+  EXPECT_EQ(results->at("g2").records.size(), 100u);
+  EXPECT_EQ(stats.records_output, 200);
+
+  auto clipped = group->Map(at_least_100, Span::Of(10, 19));
+  ASSERT_TRUE(clipped.ok()) << clipped.status();
+  EXPECT_EQ(clipped->at("g2").records.size(), 10u);
+
+  // A template that yields no graph names the member instead of crashing.
+  auto none = group->Map([](const std::string& member) -> LogicalOpPtr {
+    if (member == "g1") return nullptr;
+    return SeqRef(member).Build();
+  });
+  ASSERT_FALSE(none.ok());
+  EXPECT_NE(none.status().message().find("'g1'"), std::string::npos);
+}
+
 TEST_F(GroupingTest, FilterKeepsSatisfyingMembers) {
   auto group = SequenceGroup::Create(&engine_, {"exp0", "exp1", "exp2"});
   ASSERT_TRUE(group.ok());

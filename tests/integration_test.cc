@@ -35,7 +35,7 @@ class IntegrationTest : public ::testing::Test {
 };
 
 TEST_F(IntegrationTest, ScanWholeSequence) {
-  auto result = engine_.Run(SeqRef("prices").Build());
+  auto result = engine_.Run({SeqRef("prices").Build()});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 6u);
   EXPECT_EQ(result->records.front().pos, 1);
@@ -44,7 +44,7 @@ TEST_F(IntegrationTest, ScanWholeSequence) {
 }
 
 TEST_F(IntegrationTest, RangeRestrictsOutput) {
-  auto result = engine_.Run(SeqRef("prices").Build(), Span::Of(2, 5));
+  auto result = engine_.Run({SeqRef("prices").Build(), Span::Of(2, 5)});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 3u);
   EXPECT_EQ(result->records[0].pos, 2);
@@ -53,7 +53,7 @@ TEST_F(IntegrationTest, RangeRestrictsOutput) {
 
 TEST_F(IntegrationTest, SelectFiltersRecords) {
   auto q = SeqRef("prices").Select(Gt(Col("close"), Lit(25.0))).Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 4u);
   EXPECT_EQ(result->records[0].pos, 3);
@@ -62,14 +62,14 @@ TEST_F(IntegrationTest, SelectFiltersRecords) {
 TEST_F(IntegrationTest, SelectOnPosition) {
   auto q =
       SeqRef("prices").Select(Ge(Expr::Position(), Lit(int64_t{5}))).Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 3u);  // positions 5, 8, 9
 }
 
 TEST_F(IntegrationTest, ProjectComputesNarrowSchema) {
   auto q = SeqRef("prices").Project({"close"}, {"c"}).Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->schema->field(0).name, "c");
   EXPECT_EQ(result->records.size(), 6u);
@@ -78,7 +78,7 @@ TEST_F(IntegrationTest, ProjectComputesNarrowSchema) {
 TEST_F(IntegrationTest, PositionalOffsetShifts) {
   // out(i) = in(i + 2): record at input pos 3 surfaces at output pos 1.
   auto q = SeqRef("prices").Offset(2).Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 6u);
   EXPECT_EQ(result->records[0].pos, -1);
@@ -91,7 +91,7 @@ TEST_F(IntegrationTest, PreviousIsDense) {
   // Previous: at every position after the first record, the most recent
   // earlier record.
   auto q = SeqRef("prices").Prev().Build();
-  auto result = engine_.Run(q, Span::Of(1, 9));
+  auto result = engine_.Run({q, Span::Of(1, 9)});
   ASSERT_TRUE(result.ok()) << result.status();
   // Defined at positions 2..9 (nothing precedes position 1).
   ASSERT_EQ(result->records.size(), 8u);
@@ -109,7 +109,7 @@ TEST_F(IntegrationTest, PreviousIsDense) {
 
 TEST_F(IntegrationTest, NextLooksAhead) {
   auto q = SeqRef("prices").Next().Build();
-  auto result = engine_.Run(q, Span::Of(1, 9));
+  auto result = engine_.Run({q, Span::Of(1, 9)});
   ASSERT_TRUE(result.ok()) << result.status();
   std::map<Position, double> got;
   for (const PosRecord& pr : result->records) got[pr.pos] = pr.rec[0].dbl();
@@ -123,7 +123,7 @@ TEST_F(IntegrationTest, NextLooksAhead) {
 TEST_F(IntegrationTest, TrailingSumMatchesReference) {
   // 3-position moving sum; window = positions [i-2, i].
   auto q = SeqRef("prices").Agg(AggFunc::kSum, "close", 3).Build();
-  auto result = engine_.Run(q, Span::Of(1, 11));
+  auto result = engine_.Run({q, Span::Of(1, 11)});
   ASSERT_TRUE(result.ok()) << result.status();
   std::map<Position, double> got;
   for (const PosRecord& pr : result->records) got[pr.pos] = pr.rec[0].dbl();
@@ -143,8 +143,8 @@ TEST_F(IntegrationTest, TrailingSumMatchesReference) {
 
 TEST_F(IntegrationTest, RunningAndOverallAggregates) {
   auto running = engine_.Run(
-      SeqRef("prices").RunningAgg(AggFunc::kMax, "close").Build(),
-      Span::Of(1, 9));
+      {SeqRef("prices").RunningAgg(AggFunc::kMax, "close").Build(),
+       Span::Of(1, 9)});
   ASSERT_TRUE(running.ok()) << running.status();
   std::map<Position, double> got;
   for (const PosRecord& pr : running->records) got[pr.pos] = pr.rec[0].dbl();
@@ -153,7 +153,7 @@ TEST_F(IntegrationTest, RunningAndOverallAggregates) {
   EXPECT_DOUBLE_EQ(got[9], 60.0);
 
   auto overall = engine_.Run(
-      SeqRef("prices").OverallAgg(AggFunc::kAvg, "close").Build());
+      {SeqRef("prices").OverallAgg(AggFunc::kAvg, "close").Build()});
   ASSERT_TRUE(overall.ok()) << overall.status();
   ASSERT_FALSE(overall->records.empty());
   for (const PosRecord& pr : overall->records) {
@@ -172,7 +172,7 @@ TEST_F(IntegrationTest, ComposeJoinsAtCommonPositions) {
   ASSERT_TRUE(engine_.RegisterBase("flags", store).ok());
 
   auto q = SeqRef("prices").ComposeWith(SeqRef("flags")).Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   // Common non-null positions: 2, 3, 8.
   ASSERT_EQ(result->records.size(), 3u);
@@ -195,7 +195,7 @@ TEST_F(IntegrationTest, ComposeWithJoinPredicate) {
                .ComposeWith(SeqRef("limits"),
                             Gt(Col("close", 0), Col("limit", 1)))
                .Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   // close > 35 at positions 5, 8, 9.
   ASSERT_EQ(result->records.size(), 3u);
@@ -212,7 +212,7 @@ TEST_F(IntegrationTest, ComposeWithConstantSequence) {
                .ComposeWith(ConstRef("threshold"),
                             Gt(Col("close", 0), Col("threshold", 1)))
                .Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 4u);  // 30, 40, 50, 60
   EXPECT_EQ(result->records[0].pos, 3);
@@ -221,7 +221,7 @@ TEST_F(IntegrationTest, ComposeWithConstantSequence) {
 
 TEST_F(IntegrationTest, PointQueriesReturnExactPositions) {
   auto result =
-      engine_.RunAt(SeqRef("prices").Build(), {2, 4, 8});
+      engine_.Run({.graph = SeqRef("prices").Build(), .positions = {2, 4, 8}});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 2u);  // position 4 is empty
   EXPECT_EQ(result->records[0].pos, 2);
@@ -231,7 +231,7 @@ TEST_F(IntegrationTest, PointQueriesReturnExactPositions) {
 TEST_F(IntegrationTest, CollapseAggregatesBuckets) {
   // Buckets of 4: [0,3] -> 10+20+30, [4,7] -> 40, [8,11] -> 50+60.
   auto q = SeqRef("prices").Collapse(4, AggFunc::kSum, "close").Build();
-  auto result = engine_.Run(q);
+  auto result = engine_.Run({q});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->records.size(), 3u);
   EXPECT_EQ(result->records[0].pos, 0);
@@ -269,7 +269,7 @@ TEST(MotivatingExample, VolcanoEarthquakeQuery) {
                .Select(Gt(Col("strength"), Lit(7.0)))
                .Project({"name"})
                .Build();
-  auto result = engine.Run(q, Span::Of(1, 40));
+  auto result = engine.Run({q, Span::Of(1, 40)});
   ASSERT_TRUE(result.ok()) << result.status();
   // etna@15: most recent quake 6.0 — no. fuji@25: 8.0 — yes.
   // hekla@35: 7.5 — yes.
@@ -302,7 +302,7 @@ TEST(MotivatingExample, StreamPlanDoesSingleScan) {
                .Select(Gt(Col("strength"), Lit(7.0)))
                .Build();
   AccessStats stats;
-  auto result = engine.Run(q, Span::Of(1, 20000), &stats);
+  auto result = engine.Run({q, Span::Of(1, 20000)}, {.stats = &stats});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(result->records.size(), 0u);
   // Single scan: every base record is read at most once, with no probes.

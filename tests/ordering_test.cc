@@ -78,19 +78,18 @@ TEST(MultiOrderedTest, QueriesRunUnderEitherOrdering) {
 
   // Valid-time query: moving max of price over valid time.
   auto valid_max = engine.Run(
-      SeqRef("by_valid").RunningAgg(AggFunc::kMax, "price").Build(),
-      Span::Of(10, 30));
+      {SeqRef("by_valid").RunningAgg(AggFunc::kMax, "price").Build(),
+       Span::Of(10, 30)});
   ASSERT_TRUE(valid_max.ok());
   EXPECT_DOUBLE_EQ(valid_max->records.back().rec[0].dbl(), 7.0);
 
   // Transaction-time ("as of") query: records known by tx time 102 whose
   // valid time is before 20.
-  auto as_of = engine.Run(SeqRef("by_tx")
-                              .Select(And(Le(Expr::Position(),
-                                             Lit(int64_t{102})),
-                                          Lt(Col("valid_time"),
-                                              Lit(int64_t{20}))))
-                              .Build());
+  auto as_of = engine.Run(
+      {SeqRef("by_tx")
+           .Select(And(Le(Expr::Position(), Lit(int64_t{102})),
+                       Lt(Col("valid_time"), Lit(int64_t{20}))))
+           .Build()});
   ASSERT_TRUE(as_of.ok()) << as_of.status();
   ASSERT_EQ(as_of->records.size(), 2u);  // (10,100) and (15,102)
   EXPECT_DOUBLE_EQ(as_of->records[0].rec[1].dbl(), 5.0);

@@ -197,8 +197,8 @@ TEST_F(ParserRunTest, ParsedQueryMatchesBuilderQuery) {
                    .Select(Gt(Col("close"), Lit(100.0)))
                    .Agg(AggFunc::kSum, "close", 5)
                    .Build();
-  auto r1 = engine_.Run(*parsed);
-  auto r2 = engine_.Run(built);
+  auto r1 = engine_.Run({*parsed});
+  auto r2 = engine_.Run({built});
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r2.ok()) << r2.status();
   ASSERT_EQ(r1->records.size(), r2->records.size());
@@ -216,7 +216,7 @@ TEST_F(ParserRunTest, MultiStatementProgramRuns) {
     answer = project(both, close);
   )");
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  auto result = engine_.Run(*parsed, Span::Of(1, 300));
+  auto result = engine_.Run({*parsed, Span::Of(1, 300)});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->schema->num_fields(), 1u);
 }
@@ -224,7 +224,7 @@ TEST_F(ParserRunTest, MultiStatementProgramRuns) {
 TEST_F(ParserRunTest, UnknownBaseSurfacesAtOptimizeTime) {
   auto parsed = ParseSequinQuery("x = select(ghost, a > 1);");
   ASSERT_TRUE(parsed.ok());
-  auto result = engine_.Run(*parsed);
+  auto result = engine_.Run({*parsed});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }

@@ -29,7 +29,7 @@ std::vector<Position> MatchPositions(Engine* engine, const Pattern& pattern,
                                      Span range) {
   auto graph = pattern.Compile(engine->catalog(), "events");
   EXPECT_TRUE(graph.ok()) << graph.status();
-  auto result = engine->Run(*graph, range);
+  auto result = engine->Run({*graph, range});
   EXPECT_TRUE(result.ok()) << result.status();
   std::vector<Position> out;
   for (const PosRecord& pr : result->records) out.push_back(pr.pos);

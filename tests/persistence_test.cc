@@ -136,8 +136,8 @@ TEST_F(PersistenceTest, DatabaseRoundTrip) {
 
   // The reloaded database answers queries identically.
   auto q = SeqRef("warm").Build();
-  auto before = engine.Run(q);
-  auto after = loaded.Run(q);
+  auto before = engine.Run({q});
+  auto after = loaded.Run({q});
   ASSERT_TRUE(before.ok()) << before.status();
   ASSERT_TRUE(after.ok()) << after.status();
   ASSERT_EQ(before->records.size(), after->records.size());
@@ -147,9 +147,8 @@ TEST_F(PersistenceTest, DatabaseRoundTrip) {
   }
 
   // Constants survive too.
-  auto with_const = loaded.Run(SeqRef("prices")
-                                   .ComposeWith(ConstRef("limit"))
-                                   .Build());
+  auto with_const =
+      loaded.Run({SeqRef("prices").ComposeWith(ConstRef("limit")).Build()});
   ASSERT_TRUE(with_const.ok()) << with_const.status();
   EXPECT_DOUBLE_EQ(with_const->records[0].rec[5].dbl(), 99.5);
 }

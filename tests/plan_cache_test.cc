@@ -2,9 +2,8 @@
 // behavior, literal rebinding, the differential guarantee (a cache hit
 // returns byte-identical rows and counters to a cold optimize under every
 // driving mode), invalidation on catalog mutation and option changes, the
-// re-cost guard, graceful degradation interplay, the RunText fast path,
-// LRU capacity, and thread safety under concurrent hits, misses and
-// invalidations.
+// re-cost guard, graceful degradation interplay, LRU capacity, and thread
+// safety under concurrent hits, misses and invalidations.
 //
 // The cache under test is the process-wide PlanCache::Global(), shared by
 // every test in this binary — so all counter assertions work on DELTAS of
@@ -175,9 +174,9 @@ TEST(PlanCacheTest, PointPositionsVerifiedOnHit) {
   Engine engine = MakeEngine();
   auto graph = SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{10}))).Build();
   RunOptions opts;
-  auto first = engine.RunAt(graph, {5, 10, 20, 40}, opts);
-  auto again = engine.RunAt(graph, {5, 10, 20, 40}, opts);
-  auto other = engine.RunAt(graph, {7, 11, 21}, opts);
+  auto first = engine.Run({.graph = graph, .positions = {5, 10, 20, 40}}, opts);
+  auto again = engine.Run({.graph = graph, .positions = {5, 10, 20, 40}}, opts);
+  auto other = engine.Run({.graph = graph, .positions = {7, 11, 21}}, opts);
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_TRUE(again.ok());
   ASSERT_TRUE(other.ok());
@@ -185,7 +184,8 @@ TEST(PlanCacheTest, PointPositionsVerifiedOnHit) {
 
   RunOptions uncached;
   uncached.exec.use_plan_cache = false;
-  auto other_ref = engine.RunAt(graph, {7, 11, 21}, uncached);
+  auto other_ref =
+      engine.Run({.graph = graph, .positions = {7, 11, 21}}, uncached);
   ASSERT_TRUE(other_ref.ok());
   ExpectSameRows(*other_ref, *other);
 }
@@ -455,102 +455,6 @@ TEST(PlanCacheTest, ProfiledRunsBypassReadsButKeepTraces) {
   auto analyze = engine.ExplainAnalyze(SelectQuery(555));
   ASSERT_TRUE(analyze.ok()) << analyze.status();
   EXPECT_NE(analyze->find("plan cache"), std::string::npos);
-}
-
-// --- RunText -----------------------------------------------------------------
-
-TEST(PlanCacheTest, RunTextBindsLiteralTokensOnRepeat) {
-  SKIP_IF_CACHE_DISABLED();
-  Engine engine = MakeEngine();
-  const PlanCacheStats before = PlanCache::Global().Stats();
-  auto cold = engine.RunText("q = select(s, value > 500);");
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  // Same shape, new literal: served without lexing/parsing/planning.
-  auto warm = engine.RunText("q = select(s, value > 250);");
-  ASSERT_TRUE(warm.ok());
-  const PlanCacheStats after = PlanCache::Global().Stats();
-  EXPECT_GE(after.text_hits - before.text_hits, 1u);
-
-  RunOptions uncached;
-  uncached.exec.use_plan_cache = false;
-  auto ref = engine.Run(
-      Query{SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{250}))).Build(),
-            std::nullopt,
-            {},
-            ""},
-      uncached);
-  ASSERT_TRUE(ref.ok());
-  ExpectSameRows(*ref, *warm);
-  EXPECT_GT(warm->records.size(), 0u);
-  EXPECT_NE(warm->records.size(), cold->records.size());
-}
-
-TEST(PlanCacheTest, RunTextDoubleAndRangeHandling) {
-  SKIP_IF_CACHE_DISABLED();
-  Engine engine;
-  EventSeriesOptions eq;
-  eq.span = Span::Of(1, 2000);
-  eq.density = 0.4;
-  eq.seed = 5;
-  ASSERT_TRUE(engine.RegisterBase("quakes", *MakeEarthquakes(eq)).ok());
-
-  const Span range = Span::Of(1, 2000);
-  auto cold = engine.RunText("q = select(quakes, strength > 7.0);", range);
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  auto warm = engine.RunText("q = select(quakes, strength > 5.5);", range);
-  ASSERT_TRUE(warm.ok());
-
-  RunOptions uncached;
-  uncached.exec.use_plan_cache = false;
-  Query ref_q;
-  ref_q.graph = SeqRef("quakes").Select(Gt(Col("strength"), Lit(5.5))).Build();
-  ref_q.range = range;
-  auto ref = engine.Run(ref_q, uncached);
-  ASSERT_TRUE(ref.ok());
-  ExpectSameRows(*ref, *warm);
-
-  // A different range must not reuse the range-baked plan.
-  auto narrow =
-      engine.RunText("q = select(quakes, strength > 5.5);", Span::Of(1, 500));
-  ASSERT_TRUE(narrow.ok());
-  EXPECT_LE(narrow->records.size(), warm->records.size());
-  ref_q.range = Span::Of(1, 500);
-  auto narrow_ref = engine.Run(ref_q, uncached);
-  ASSERT_TRUE(narrow_ref.ok());
-  ExpectSameRows(*narrow_ref, *narrow);
-}
-
-TEST(PlanCacheTest, RunTextStructuralLiteralsNeverBindWrong) {
-  SKIP_IF_CACHE_DISABLED();
-  Engine engine = MakeEngine();
-  // Window sizes are literal TOKENS in the text but structure in the plan.
-  // The text tier must refuse to bind them; both runs parse, and each gets
-  // its own correct plan.
-  auto w8 = engine.RunText("q = sum(s, value, over 8);");
-  ASSERT_TRUE(w8.ok()) << w8.status();
-  auto w3 = engine.RunText("q = sum(s, value, over 3);");
-  ASSERT_TRUE(w3.ok());
-
-  RunOptions uncached;
-  uncached.exec.use_plan_cache = false;
-  Query ref_q;
-  ref_q.graph = SeqRef("s").Agg(AggFunc::kSum, "value", 3).Build();
-  auto ref = engine.Run(ref_q, uncached);
-  ASSERT_TRUE(ref.ok());
-  ExpectSameRows(*ref, *w3);
-}
-
-TEST(PlanCacheTest, RunTextMultiStatementStaysCorrect) {
-  SKIP_IF_CACHE_DISABLED();
-  Engine engine = MakeEngine();
-  const std::string program =
-      "high = select(s, value > 600);\n"
-      "q = sum(high, value, over 4);";
-  auto first = engine.RunText(program);
-  ASSERT_TRUE(first.ok()) << first.status();
-  auto second = engine.RunText(program);
-  ASSERT_TRUE(second.ok());
-  ExpectSameRows(*first, *second);
 }
 
 // --- capacity / LRU ----------------------------------------------------------

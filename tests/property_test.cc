@@ -68,16 +68,16 @@ TEST_P(EquivalenceWebTest, AllConfigurationsAgree) {
     LogicalOpPtr graph =
         RandomGraph(engines[0].catalog(), &rng, 1 + trial % 4);
     Span range = Span::Of(kSpan.start - 20, kSpan.end + 20);
-    auto reference = engines[0].Run(graph, range);
+    auto reference = engines[0].Run({graph, range});
     if (!reference.ok()) {
       // Degenerate random graphs must fail identically everywhere.
       for (size_t c = 1; c < engines.size(); ++c) {
-        EXPECT_FALSE(engines[c].Run(graph, range).ok()) << configs[c].name;
+        EXPECT_FALSE(engines[c].Run({graph, range}).ok()) << configs[c].name;
       }
       continue;
     }
     for (size_t c = 1; c < engines.size(); ++c) {
-      auto other = engines[c].Run(graph, range);
+      auto other = engines[c].Run({graph, range});
       ASSERT_TRUE(other.ok())
           << configs[c].name << ": " << other.status() << "\n"
           << graph->ToTreeString();
@@ -102,14 +102,14 @@ TEST_P(PointQueryPropertyTest, PointsMatchRangeSubset) {
   FillSmallCatalog(&engine.catalog(), seed + 500);
   for (int trial = 0; trial < 5; ++trial) {
     LogicalOpPtr graph = RandomGraph(engine.catalog(), &rng, 1 + trial % 3);
-    auto full = engine.Run(graph, kSpan);
+    auto full = engine.Run({graph, kSpan});
     if (!full.ok()) continue;
     std::vector<Position> positions;
     for (Position p = kSpan.start; p <= kSpan.end;
          p += rng.UniformInt(3, 40)) {
       positions.push_back(p);
     }
-    auto points = engine.RunAt(graph, positions);
+    auto points = engine.Run({.graph = graph, .positions = positions});
     ASSERT_TRUE(points.ok()) << points.status() << "\n"
                              << graph->ToTreeString();
     std::vector<PosRecord> expected;

@@ -125,7 +125,7 @@ TEST_P(VolcanoCrossCheckTest, SqlBaselineMatchesSequenceEngine) {
                .Project({"name"})
                .Build();
   AccessStats seq_stats;
-  auto seq_result = engine.Run(q, Span::Of(1, 5000), &seq_stats);
+  auto seq_result = engine.Run({q, Span::Of(1, 5000)}, {.stats = &seq_stats});
   ASSERT_TRUE(seq_result.ok()) << seq_result.status();
   std::vector<std::string> seq_names;
   for (const PosRecord& pr : seq_result->records) {

@@ -45,8 +45,8 @@ class RewriterTest : public ::testing::Test {
   void ExpectRewriteEquivalence(const LogicalOpPtr& graph, Span range) {
     Engine with = MakeEngine(true);
     Engine without = MakeEngine(false);
-    auto r1 = with.Run(graph, range);
-    auto r2 = without.Run(graph, range);
+    auto r1 = with.Run({graph, range});
+    auto r2 = without.Run({graph, range});
     ASSERT_TRUE(r1.ok()) << r1.status();
     ASSERT_TRUE(r2.ok()) << r2.status();
     ASSERT_EQ(r1->records.size(), r2->records.size());

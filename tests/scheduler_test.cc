@@ -2,8 +2,7 @@
 // control (slots, bounded queue, timeouts, priorities), FIFO + fair
 // round-robin task dispatch on the shared worker pool, the executor
 // integration (16 concurrent queries never exceed the configured worker
-// count, rows+stats byte-identical to serial), and the ThreadPool::Wait
-// poll-loop fix.
+// count, rows+stats byte-identical to serial).
 //
 // The stress test asserts on QueryScheduler::Global()'s monotone
 // peak_active_workers, so it must be the FIRST test in this binary to run
@@ -23,7 +22,6 @@
 
 #include "core/engine.h"
 #include "exec/scheduler.h"
-#include "exec/thread_pool.h"
 #include "obs/query_registry.h"
 #include "workload/generators.h"
 
@@ -60,33 +58,6 @@ TEST(ValidatedEnvIntTest, AcceptsWholeStringIntegersOnly) {
   setenv(kVar, "0", 1);
   EXPECT_EQ(ValidatedEnvInt(kVar, 0, 7), 0);
   unsetenv(kVar);
-}
-
-// --- ThreadPool wait/poll ---------------------------------------------------
-
-TEST(ThreadPoolTest, WaitWithPollReturnsAndStopsPolling) {
-  std::atomic<int> ran{0};
-  std::atomic<int> polls{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        ran.fetch_add(1);
-      });
-    }
-    pool.Wait([&polls] { polls.fetch_add(1); });
-    EXPECT_EQ(ran.load(), 8);
-    const int polls_at_done = polls.load();
-    // The fixed loop re-checks the completion predicate before re-arming:
-    // once pending hit zero the waiter must not keep waking to poll.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(polls.load(), polls_at_done);
-
-    // A second Wait on a drained pool returns immediately, poll or not.
-    pool.Wait([&polls] { polls.fetch_add(1); });
-    pool.Wait();
-  }
 }
 
 // --- dispatch order ---------------------------------------------------------

@@ -76,7 +76,7 @@ std::vector<PosRecord> RunReference(const std::string& source) {
   auto engine = ReferenceEngine();
   auto program = ParseSequin(source);
   EXPECT_TRUE(program.ok()) << program.status().ToString();
-  auto result = engine->Run(program->main, std::nullopt, RunOptions{});
+  auto result = engine->Run({program->main});
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result->records);
 }

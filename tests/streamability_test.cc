@@ -98,7 +98,7 @@ TEST(StreamabilityTest, DynamicSingleScanMatchesAnalysis) {
   ASSERT_TRUE(report.stream_access);
 
   AccessStats stats;
-  auto result = engine.Run(q, Span::Of(0, 10010), &stats);
+  auto result = engine.Run({q, Span::Of(0, 10010)}, {.stats = &stats});
   ASSERT_TRUE(result.ok());
   int64_t input_records = 5000;  // ~density x span
   EXPECT_EQ(stats.probes, 0);

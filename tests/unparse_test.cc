@@ -73,8 +73,8 @@ TEST_P(RoundTripTest, ParseOfUnparseRunsIdentically) {
     auto reparsed = ParseSequinQuery(*text);
     ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << *text;
     Span range = Span::Of(-20, 420);
-    auto original = engine.Run(graph, range);
-    auto round_trip = engine.Run(*reparsed, range);
+    auto original = engine.Run({graph, range});
+    auto round_trip = engine.Run({*reparsed, range});
     ASSERT_EQ(original.ok(), round_trip.ok()) << *text;
     if (!original.ok()) continue;
     ExpectSameRecords(original->records, round_trip->records, *text);
