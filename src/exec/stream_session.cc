@@ -5,6 +5,7 @@
 
 #include "exec/checkpoint.h"
 #include "logical/scope.h"
+#include "obs/metrics.h"
 #include "optimizer/plan_template.h"
 #include "parser/parser.h"
 #include "parser/unparse.h"
@@ -103,7 +104,9 @@ Result<std::vector<PosRecord>> StreamSession::Poll(AccessStats* stats) {
       // operator caches disabled instead of failing the standing query —
       // the cache that blew the budget would blow it again on every later
       // poll. The high-water mark has not advanced, so no answers are lost.
+      // Counted once per latch, as Engine::Run counts a degraded run.
       degraded_ = true;
+      MetricsRegistry::Global().Add("engine.cache_degradations");
       result.reset();
       attempt_stats.Reset();
     }

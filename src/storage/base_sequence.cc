@@ -44,6 +44,7 @@ Result<std::shared_ptr<BaseSequenceStore>> BaseSequenceStore::FromRecords(
     AccessCosts costs) {
   auto store = std::make_shared<BaseSequenceStore>(std::move(schema),
                                                    records_per_page, costs);
+  store->Reserve(records.size());
   for (PosRecord& pr : records) {
     SEQ_RETURN_IF_ERROR(store->Append(pr.pos, std::move(pr.rec)));
   }

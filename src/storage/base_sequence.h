@@ -57,6 +57,10 @@ class BaseSequenceStore {
   /// and match the schema.
   Status Append(Position pos, Record rec);
 
+  /// Reserves room for `n` records, so a load of known size appends without
+  /// regrowing the record vector.
+  void Reserve(size_t n) { records_.reserve(n); }
+
   /// Builds a store from position-sorted records.
   static Result<std::shared_ptr<BaseSequenceStore>> FromRecords(
       SchemaPtr schema, std::vector<PosRecord> records,

@@ -1,9 +1,11 @@
 #include "storage/file_format.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <vector>
 
 namespace seq {
 namespace {
@@ -23,18 +25,100 @@ void WriteString(std::ostream& out, const std::string& s) {
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
+// Reads a file front to back through a fixed-size buffer, so a load decodes
+// values with memcpy from memory instead of one stream read per value, and
+// never holds more than kBufferBytes of the file at once. Every read is
+// checked against the bytes that remain, so a read past the end of a
+// truncated file fails instead of returning garbage.
+class BufferedReader {
+ public:
+  static constexpr size_t kBufferBytes = size_t{1} << 20;
 
-bool ReadString(std::istream& in, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadPod(in, &len) || len > kMaxStringLen) return false;
-  s->resize(len);
-  in.read(s->data(), len);
-  return static_cast<bool>(in);
+  explicit BufferedReader(std::ifstream* in) : in_(in) {
+    in_->seekg(0, std::ios::end);
+    const std::streamoff size = in_->tellg();
+    in_->seekg(0, std::ios::beg);
+    unread_ = size > 0 ? static_cast<uint64_t>(size) : 0;
+    buffer_.resize(std::min<uint64_t>(unread_, kBufferBytes));
+  }
+
+  /// Bytes of the file not yet consumed.
+  uint64_t remaining() const { return unread_ + (end_ - next_); }
+
+  bool Read(void* out, size_t n) {
+    if (end_ - next_ >= n) {
+      std::memcpy(out, buffer_.data() + next_, n);
+      next_ += n;
+      return true;
+    }
+    return ReadSlow(static_cast<char*>(out), n);
+  }
+
+  template <typename T>
+  bool Pod(T* value) {
+    return Read(value, sizeof(T));
+  }
+
+  bool String(std::string* s) {
+    uint32_t len = 0;
+    if (!Pod(&len) || len > kMaxStringLen || len > remaining()) return false;
+    s->resize(len);
+    return Read(s->data(), len);
+  }
+
+ private:
+  // Drains the buffer into `out`, then refills it until `n` bytes are read.
+  bool ReadSlow(char* out, size_t n) {
+    if (n > remaining()) return false;
+    while (n > 0) {
+      if (next_ == end_ && !Refill()) return false;
+      const size_t take = std::min(n, end_ - next_);
+      std::memcpy(out, buffer_.data() + next_, take);
+      next_ += take;
+      out += take;
+      n -= take;
+    }
+    return true;
+  }
+
+  bool Refill() {
+    const size_t want =
+        static_cast<size_t>(std::min<uint64_t>(unread_, buffer_.size()));
+    if (want == 0) return false;
+    in_->read(buffer_.data(), static_cast<std::streamsize>(want));
+    if (static_cast<size_t>(in_->gcount()) != want) return false;
+    unread_ -= want;
+    next_ = 0;
+    end_ = want;
+    return true;
+  }
+
+  std::ifstream* in_;
+  std::vector<char> buffer_;
+  size_t next_ = 0;      // first unconsumed byte of buffer_
+  size_t end_ = 0;       // one past the last valid byte of buffer_
+  uint64_t unread_ = 0;  // file bytes not yet copied into buffer_
+};
+
+// Smallest encoding of one record: its position plus each value, with
+// strings empty. Bounds how many records the rest of a file can hold.
+uint64_t MinRecordBytes(const Schema& schema) {
+  uint64_t bytes = sizeof(int64_t);
+  for (const Field& f : schema.fields()) {
+    switch (f.type) {
+      case TypeId::kInt64:
+      case TypeId::kDouble:
+        bytes += sizeof(int64_t);
+        break;
+      case TypeId::kBool:
+        bytes += sizeof(uint8_t);
+        break;
+      case TypeId::kString:
+        bytes += sizeof(uint32_t);
+        break;
+    }
+  }
+  return bytes;
 }
 
 }  // namespace
@@ -85,13 +169,13 @@ Status SaveSequence(const BaseSequenceStore& store, const std::string& path) {
 }
 
 Result<BaseSequencePtr> LoadSequence(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
     return Status::NotFound("cannot open '" + path + "'");
   }
+  BufferedReader in(&file);
   char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kMagic, 4) != 0) {
+  if (!in.Read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
     return Status::InvalidArgument("'" + path + "' is not a SEQ1 file");
   }
   uint32_t records_per_page = 0;
@@ -99,10 +183,9 @@ Result<BaseSequencePtr> LoadSequence(const std::string& path) {
   uint8_t clustered = 1;
   int64_t span_start = 0;
   int64_t span_end = 0;
-  if (!ReadPod(in, &records_per_page) || records_per_page == 0 ||
-      !ReadPod(in, &costs.page_cost) || !ReadPod(in, &costs.probe_cost) ||
-      !ReadPod(in, &clustered) || !ReadPod(in, &span_start) ||
-      !ReadPod(in, &span_end)) {
+  if (!in.Pod(&records_per_page) || records_per_page == 0 ||
+      !in.Pod(&costs.page_cost) || !in.Pod(&costs.probe_cost) ||
+      !in.Pod(&clustered) || !in.Pod(&span_start) || !in.Pod(&span_end)) {
     return Status::DataLoss("'" + path + "': truncated header");
   }
   // The store takes records_per_page as a positive int; a corrupt value
@@ -114,8 +197,7 @@ Result<BaseSequencePtr> LoadSequence(const std::string& path) {
   }
   costs.clustered = clustered != 0;
   uint32_t num_fields = 0;
-  if (!ReadPod(in, &num_fields) || num_fields == 0 ||
-      num_fields > kMaxFields) {
+  if (!in.Pod(&num_fields) || num_fields == 0 || num_fields > kMaxFields) {
     return Status::DataLoss("'" + path + "': bad field count");
   }
   std::vector<Field> fields;
@@ -124,7 +206,7 @@ Result<BaseSequencePtr> LoadSequence(const std::string& path) {
   for (uint32_t i = 0; i < num_fields; ++i) {
     Field f;
     uint8_t type = 0;
-    if (!ReadString(in, &f.name) || !ReadPod(in, &type) ||
+    if (!in.String(&f.name) || !in.Pod(&type) ||
         type > static_cast<uint8_t>(TypeId::kString)) {
       return Status::DataLoss("'" + path + "': bad field header");
     }
@@ -141,50 +223,52 @@ Result<BaseSequencePtr> LoadSequence(const std::string& path) {
   auto store = std::make_shared<BaseSequenceStore>(
       schema, static_cast<int>(records_per_page), costs);
   uint64_t num_records = 0;
-  if (!ReadPod(in, &num_records)) {
+  if (!in.Pod(&num_records)) {
     return Status::DataLoss("'" + path + "': truncated record count");
   }
+  // A corrupt count must not size an allocation: the rest of the file
+  // bounds how many records it can really hold.
+  if (num_records > in.remaining() / MinRecordBytes(*schema)) {
+    return Status::DataLoss("'" + path + "': truncated records");
+  }
+  store->Reserve(static_cast<size_t>(num_records));
   for (uint64_t r = 0; r < num_records; ++r) {
     int64_t pos = 0;
-    if (!ReadPod(in, &pos)) {
+    if (!in.Pod(&pos)) {
       return Status::DataLoss("'" + path + "': truncated records");
     }
     Record rec;
     rec.reserve(schema->num_fields());
     for (const Field& f : schema->fields()) {
+      bool ok = false;
       switch (f.type) {
         case TypeId::kInt64: {
-          int64_t v;
-          if (!ReadPod(in, &v)) {
-            return Status::DataLoss("'" + path + "': truncated value");
-          }
+          int64_t v = 0;
+          ok = in.Pod(&v);
           rec.push_back(Value::Int64(v));
           break;
         }
         case TypeId::kDouble: {
-          double v;
-          if (!ReadPod(in, &v)) {
-            return Status::DataLoss("'" + path + "': truncated value");
-          }
+          double v = 0;
+          ok = in.Pod(&v);
           rec.push_back(Value::Double(v));
           break;
         }
         case TypeId::kBool: {
-          uint8_t v;
-          if (!ReadPod(in, &v)) {
-            return Status::DataLoss("'" + path + "': truncated value");
-          }
+          uint8_t v = 0;
+          ok = in.Pod(&v);
           rec.push_back(Value::Bool(v != 0));
           break;
         }
         case TypeId::kString: {
           std::string v;
-          if (!ReadString(in, &v)) {
-            return Status::DataLoss("'" + path + "': truncated value");
-          }
+          ok = in.String(&v);
           rec.push_back(Value::String(std::move(v)));
           break;
         }
+      }
+      if (!ok) {
+        return Status::DataLoss("'" + path + "': truncated value");
       }
     }
     SEQ_RETURN_IF_ERROR(store->Append(pos, std::move(rec)));

@@ -19,8 +19,10 @@ namespace seq {
 ///   u64 num_records { i64 pos, values per schema }*
 /// Values: int64 → i64, double → f64, bool → u8, string → u32 len + bytes.
 ///
-/// Readers validate the magic, type tags and string lengths and fail with
-/// InvalidArgument on malformed input rather than crashing.
+/// Readers validate the magic, type tags, string lengths and record count
+/// and fail with InvalidArgument or DataLoss on malformed or truncated input
+/// rather than crashing. A load reads the file through a fixed-size buffer,
+/// so its memory beyond the loaded store does not grow with the file.
 
 Status SaveSequence(const BaseSequenceStore& store, const std::string& path);
 

@@ -426,7 +426,8 @@ TEST_F(CheckpointTest, RegistryRequestSuspendFlagsLiveQuery) {
   opts.exec.checkpoint.chunk = 512;
   opts.exec.checkpoint.path = TmpPath("ckpt_registry_request.ckpt");
 
-  Result<QueryResult> outcome = Status::OK();
+  // Result(Status) requires a non-OK status; the runner overwrites this.
+  Result<QueryResult> outcome = Status::Internal("query did not finish");
   std::thread runner([&] { outcome = big.Run(query, opts); });
   bool flagged = false;
   for (int i = 0; i < 200000 && !flagged; ++i) {

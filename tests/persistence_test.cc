@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/database_io.h"
 #include "core/engine.h"
@@ -166,6 +170,89 @@ TEST_F(PersistenceTest, LoadRejectsBadManifest) {
   EXPECT_NE(s.message().find("unknown entry kind"), std::string::npos);
   Engine engine2;
   EXPECT_FALSE(LoadDatabase(TempPath("no_such_dir"), &engine2).ok());
+}
+
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+void Patch(std::string* bytes, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+TEST_F(PersistenceTest, LoadRejectsEveryCorruptionWithAStatus) {
+  SchemaPtr schema = Schema::Make({Field{"i", TypeId::kInt64},
+                                   Field{"d", TypeId::kDouble},
+                                   Field{"b", TypeId::kBool},
+                                   Field{"s", TypeId::kString}});
+  auto store = std::make_shared<BaseSequenceStore>(schema, 16);
+  ASSERT_TRUE(store->DeclareSpan(Span::Of(0, 50)).ok());
+  for (Position p = 1; p <= 3; ++p) {
+    ASSERT_TRUE(store
+                    ->Append(p * 10, {Value::Int64(-p), Value::Double(p / 4.0),
+                                      Value::Bool(p % 2 == 0),
+                                      Value::String(std::string(p, 'x'))})
+                    .ok());
+  }
+  const std::string good = Track(TempPath("corrupt_src.seq1"));
+  ASSERT_TRUE(SaveSequence(*store, good).ok());
+  const std::string bytes = ReadBytes(good);
+  ASSERT_TRUE(LoadSequence(good).ok());
+
+  // Every strict prefix of the file is a truncated file.
+  const std::string path = Track(TempPath("corrupt.seq1"));
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    WriteBytes(path, bytes.substr(0, n));
+    auto r = LoadSequence(path);
+    ASSERT_FALSE(r.ok()) << "prefix of " << n << " bytes loaded";
+    EXPECT_TRUE(r.status().code() == StatusCode::kDataLoss ||
+                r.status().code() == StatusCode::kInvalidArgument)
+        << n << ": " << r.status();
+  }
+
+  // Header: magic, records_per_page, two costs, clustered, span; then the
+  // field headers, then the record count and the first record.
+  size_t count_offset = 4 + 4 + 8 + 8 + 1 + 8 + 8 + 4;
+  for (const Field& f : schema->fields()) {
+    count_offset += 4 + f.name.size() + 1;
+  }
+  const size_t first_string_offset = count_offset + 8 + 8 + 8 + 8 + 1;
+  uint64_t stored_count = 0;
+  uint32_t stored_len = 0;
+  std::memcpy(&stored_count, bytes.data() + count_offset, sizeof(uint64_t));
+  std::memcpy(&stored_len, bytes.data() + first_string_offset,
+              sizeof(uint32_t));
+  ASSERT_EQ(stored_count, 3u);
+  ASSERT_EQ(stored_len, 1u);  // "x"
+
+  // A record count no file could hold must fail before sizing anything.
+  std::string huge_count = bytes;
+  Patch<uint64_t>(&huge_count, count_offset, uint64_t{1} << 62);
+  WriteBytes(path, huge_count);
+  auto r = LoadSequence(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+
+  // String lengths above the format's limit, and within it but past the
+  // end of the file.
+  for (uint32_t len : {(uint32_t{1} << 20) + 1, uint32_t{1} << 20,
+                       UINT32_MAX}) {
+    std::string long_string = bytes;
+    Patch<uint32_t>(&long_string, first_string_offset, len);
+    WriteBytes(path, long_string);
+    r = LoadSequence(path);
+    ASSERT_FALSE(r.ok()) << len;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << len;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <random>
+#include <unordered_set>
+
 #include "storage/base_sequence.h"
 
 namespace seq {
@@ -222,6 +228,181 @@ TEST(HistogramTest, ConstantColumnHasNoHistogram) {
   EXPECT_TRUE(cs.bucket_counts.empty());  // max == min: no range
   EXPECT_DOUBLE_EQ(cs.FractionBelow(8.0), 1.0);
   EXPECT_DOUBLE_EQ(cs.FractionBelow(7.0), 0.0);
+}
+
+}  // namespace
+}  // namespace seq
+
+namespace seq {
+namespace {
+
+// The straightforward statistics algorithm: a node-based set of hashes per
+// column and one histogram pass per column. ComputeColumnStats fuses these
+// passes and must agree with it bit for bit.
+std::vector<ColumnStats> NaiveColumnStats(
+    const std::vector<PosRecord>& records, const Schema& schema) {
+  constexpr size_t kDistinctCap = 1 << 16;
+  std::vector<ColumnStats> stats(schema.num_fields());
+  std::vector<std::unordered_set<size_t>> distinct_hashes(schema.num_fields());
+  for (const PosRecord& pr : records) {
+    for (size_t i = 0; i < schema.num_fields() && i < pr.rec.size(); ++i) {
+      ColumnStats& cs = stats[i];
+      const Value& v = pr.rec[i];
+      ++cs.count;
+      if (IsNumeric(v.type())) {
+        double d = v.AsDouble();
+        if (!cs.min.has_value() || d < *cs.min) cs.min = d;
+        if (!cs.max.has_value() || d > *cs.max) cs.max = d;
+      }
+      auto& seen = distinct_hashes[i];
+      if (seen.size() < kDistinctCap) seen.insert(v.Hash());
+    }
+  }
+  for (size_t i = 0; i < stats.size(); ++i) {
+    stats[i].distinct = static_cast<int64_t>(distinct_hashes[i].size());
+  }
+  for (size_t i = 0; i < stats.size(); ++i) {
+    ColumnStats& cs = stats[i];
+    if (!cs.min.has_value() || !cs.max.has_value() || *cs.max <= *cs.min) {
+      continue;
+    }
+    cs.bucket_counts.assign(ColumnStats::kHistogramBuckets, 0);
+    double width = (*cs.max - *cs.min) / ColumnStats::kHistogramBuckets;
+    for (const PosRecord& pr : records) {
+      if (i >= pr.rec.size() || !IsNumeric(pr.rec[i].type())) continue;
+      double d = pr.rec[i].AsDouble();
+      int b = static_cast<int>((d - *cs.min) / width);
+      b = std::clamp(b, 0, ColumnStats::kHistogramBuckets - 1);
+      ++cs.bucket_counts[static_cast<size_t>(b)];
+    }
+  }
+  return stats;
+}
+
+void ExpectBitIdentical(const std::optional<double>& got,
+                        const std::optional<double>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (got.has_value()) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(*got), std::bit_cast<uint64_t>(*want))
+        << *got << " vs " << *want;
+  }
+}
+
+void ExpectStatsMatchNaive(const BaseSequenceStore& store) {
+  const std::vector<ColumnStats> want =
+      NaiveColumnStats(store.records(), *store.schema());
+  const std::vector<ColumnStats>& got = store.column_stats();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("column " + store.schema()->field(i).name);
+    EXPECT_EQ(got[i].count, want[i].count);
+    EXPECT_EQ(got[i].distinct, want[i].distinct);
+    ExpectBitIdentical(got[i].min, want[i].min);
+    ExpectBitIdentical(got[i].max, want[i].max);
+    EXPECT_EQ(got[i].bucket_counts, want[i].bucket_counts);
+  }
+}
+
+SchemaPtr MixedSchema() {
+  return Schema::Make({Field{"i", TypeId::kInt64},
+                       Field{"d", TypeId::kDouble},
+                       Field{"b", TypeId::kBool},
+                       Field{"s", TypeId::kString},
+                       Field{"z", TypeId::kDouble}});
+}
+
+// A row of the mixed schema: a skewed int, a uniform double, a coin, a
+// label from a small set, and a column of mostly signed zeros.
+Record MixedRow(std::mt19937_64& rng) {
+  std::uniform_int_distribution<int64_t> small(-50, 50);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> pick(0, 9);
+  const int z = pick(rng);
+  return Record{Value::Int64(small(rng) * small(rng)),
+                Value::Double(unit(rng) * 1e3),
+                Value::Bool(pick(rng) < 3),
+                Value::String("label" + std::to_string(pick(rng))),
+                Value::Double(z < 4 ? 0.0 : z < 8 ? -0.0 : unit(rng))};
+}
+
+TEST(ColumnStatsTest, FusedPassesMatchNaiveOnRandomStores) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    BaseSequenceStore store(MixedSchema(), 16);
+    const int rows = std::uniform_int_distribution<int>(0, 3000)(rng);
+    Position p = 0;
+    for (int r = 0; r < rows; ++r) {
+      p += std::uniform_int_distribution<Position>(1, 3)(rng);
+      ASSERT_TRUE(store.Append(p, MixedRow(rng)).ok());
+    }
+    ExpectStatsMatchNaive(store);
+  }
+}
+
+TEST(ColumnStatsTest, SignedZerosKeepTheFirstSeen) {
+  // -0.0 and 0.0 compare equal and hash equal: min and max keep whichever
+  // came first, and the column counts one distinct value.
+  SchemaPtr schema = Schema::Make({Field{"z", TypeId::kDouble}});
+  for (double first : {-0.0, 0.0}) {
+    BaseSequenceStore store(schema, 4);
+    ASSERT_TRUE(store.Append(0, {Value::Double(first)}).ok());
+    ASSERT_TRUE(store.Append(1, {Value::Double(-first)}).ok());
+    ExpectStatsMatchNaive(store);
+    EXPECT_EQ(std::signbit(*store.column_stats()[0].min), std::signbit(first));
+    EXPECT_EQ(store.column_stats()[0].distinct, 1);
+  }
+}
+
+TEST(ColumnStatsTest, DistinctSaturatesAtTheCap) {
+  SchemaPtr schema = Schema::Make({Field{"i", TypeId::kInt64},
+                                   Field{"d", TypeId::kDouble},
+                                   Field{"s", TypeId::kString}});
+  BaseSequenceStore store(schema, 64);
+  for (Position p = 0; p < 70000; ++p) {
+    ASSERT_TRUE(store
+                    .Append(p, {Value::Int64(p * 7 - 1000),
+                                Value::Double(static_cast<double>(p) / 3.0),
+                                Value::String(std::to_string(p % 70001))})
+                    .ok());
+  }
+  ExpectStatsMatchNaive(store);
+  for (const ColumnStats& cs : store.column_stats()) {
+    EXPECT_EQ(cs.distinct, int64_t{1} << 16);
+  }
+}
+
+TEST(ColumnStatsTest, ConstantAndEmptyStoresMatchNaive) {
+  BaseSequenceStore empty(MixedSchema(), 4);
+  ExpectStatsMatchNaive(empty);
+  EXPECT_EQ(empty.column_stats()[0].count, 0);
+  EXPECT_FALSE(empty.column_stats()[0].min.has_value());
+
+  BaseSequenceStore constant(MixedSchema(), 4);
+  for (Position p = 0; p < 100; ++p) {
+    ASSERT_TRUE(constant
+                    .Append(p, {Value::Int64(7), Value::Double(2.5),
+                                Value::Bool(false), Value::String("x"),
+                                Value::Double(0.0)})
+                    .ok());
+  }
+  ExpectStatsMatchNaive(constant);
+  for (const ColumnStats& cs : constant.column_stats()) {
+    EXPECT_TRUE(cs.bucket_counts.empty());
+    EXPECT_EQ(cs.distinct, 1);
+  }
+}
+
+TEST(ColumnStatsTest, RefreshAfterAppendMatchesNaive) {
+  std::mt19937_64 rng(42);
+  BaseSequenceStore store(MixedSchema(), 8);
+  Position p = 0;
+  for (int batch = 0; batch < 5; ++batch) {
+    for (int r = 0; r < 40; ++r) {
+      ASSERT_TRUE(store.Append(++p, MixedRow(rng)).ok());
+    }
+    ExpectStatsMatchNaive(store);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "core/engine.h"
 #include "exec/stream_session.h"
+#include "obs/metrics.h"
 
 namespace seq {
 namespace {
@@ -144,6 +145,33 @@ TEST_F(StreamSessionTest, RejectsBadAppends) {
   EXPECT_FALSE(session.Append("ghost", 1, {Value::Double(1.0)}).ok());
   ASSERT_TRUE(session.Append("live", 5, {Value::Double(1.0)}).ok());
   EXPECT_FALSE(session.Append("live", 4, {Value::Double(1.0)}).ok());
+}
+
+TEST_F(StreamSessionTest, DegradationIsCountedOncePerLatch) {
+  // A 1-byte cache budget cannot hold the window's cache, so the first poll
+  // latches the session into cache-free plans. The counter moves on that
+  // latch only, not on every later (already degraded) poll.
+  ExecOptions exec_options;
+  exec_options.guards.max_cache_bytes = 1;
+  StreamSession session(&engine_.catalog(),
+                        SeqRef("live").Agg(AggFunc::kSum, "v", 16).Build(),
+                        OptimizerOptions{}, 1024, exec_options);
+  const int64_t before =
+      MetricsRegistry::Global().Get("engine.cache_degradations");
+  Position next = 1;
+  for (int poll = 0; poll < 4; ++poll) {
+    for (int i = 0; i < 32; ++i, ++next) {
+      const Value v = Value::Double(static_cast<double>(next));
+      ASSERT_TRUE(session.Append("live", next, {v}).ok());
+    }
+    auto rows = session.Poll();
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    EXPECT_FALSE(rows->empty());
+    EXPECT_TRUE(session.degraded());
+  }
+  EXPECT_EQ(MetricsRegistry::Global().Get("engine.cache_degradations") -
+                before,
+            1);
 }
 
 }  // namespace
