@@ -247,11 +247,8 @@ Status Engine::Materialize(const std::string& name,
 
 Result<Engine::PreparedQuery> Engine::Prepare(const Query& query) const {
   Optimizer optimizer(catalog_, options_);
-  SEQ_ASSIGN_OR_RETURN(
-      PlannedQuery planned,
-      PlanQuery(query,
-                DefaultUsePlanCache() ? CacheUse::kRead : CacheUse::kBypass,
-                optimizer));
+  SEQ_ASSIGN_OR_RETURN(PlannedQuery planned,
+                       PlanQuery(query, CacheUse::kRead, optimizer));
   // Registry identity is captured once here; every Run of the prepared
   // query registers under the same text and digest without re-unparsing.
   std::string text;
@@ -316,38 +313,33 @@ Result<QueryResult> Engine::RunPlanned(const Query& query,
   ticket.set_state(QueryState::kExecuting);
   Executor executor(catalog_, opt_options.cost_params, exec);
 
-  if (opts.sink) {
-    // Streaming path: rows already handed to the sink cannot be taken
-    // back, so there is no graceful-degradation retry here — a cache
-    // budget trip surfaces as its ResourceExhausted status.
-    SEQ_RETURN_IF_ERROR(executor.ExecuteVisit(plan, opts.sink, opts.stats));
-    QueryResult out;
-    out.schema = plan.schema;
-    return out;
-  }
-
   QueryProfile prof;
   // The first attempt charges into local stats so a degraded retry does not
-  // leak the aborted attempt's counters into the caller's totals.
+  // leak the aborted attempt's counters into the caller's totals. A sink
+  // run charges the caller directly: rows already handed to the sink
+  // cannot be taken back, so it is never retried — a cache budget trip
+  // surfaces as its ResourceExhausted status.
   AccessStats attempt_stats;
-  AccessStats* attempt = opts.stats != nullptr ? &attempt_stats : nullptr;
+  AccessStats* attempt =
+      opts.stats != nullptr && !opts.sink ? &attempt_stats : opts.stats;
   // Checkpointed execution (profiled runs execute normally — a profile of
   // a partial run would be misleading, and the trace requirement already
   // forces the re-optimize path).
   const bool checkpointed = exec.checkpoint.enabled && !opts.profile;
   Result<QueryResult> result =
-      opts.profile ? executor.ExecuteProfiled(plan, &prof, attempt)
-      : checkpointed ? RunCheckpointed(planned.inlined, plan, opt_options,
-                                       exec, attempt, ticket)
-                     : executor.Execute(plan, attempt);
-  // ExecuteProfiled resets the profile, so the trace is attached after.
+      checkpointed
+          ? RunCheckpointed(planned.inlined, plan, opt_options, exec, attempt,
+                            ticket)
+          : executor.Execute(plan, attempt, opts.sink,
+                             opts.profile ? &prof : nullptr);
+  // Execute resets the profile, so the trace is attached after.
   MorselPlan morsels;
   if (opts.profile) {
     prof.optimizer = optimizer.trace();
     morsels = executor.PlanMorsels(plan);
   }
   std::string degradation_note;
-  if (!result.ok() && IsCacheBudgetExceeded(result.status())) {
+  if (!result.ok() && !opts.sink && IsCacheBudgetExceeded(result.status())) {
     // Graceful degradation: the query is fine, only its cached plan does not
     // fit max_cache_bytes. Run the (slower, memory-flat) cache-free plan
     // instead of failing.
@@ -359,7 +351,7 @@ Result<QueryResult> Engine::RunPlanned(const Query& query,
     result = RunCacheFree(catalog_, planned.inlined, opt_options, exec,
                           opts.stats, opts.profile ? &prof : nullptr,
                           opts.profile ? &morsels : nullptr);
-  } else if (result.ok() && opts.stats != nullptr) {
+  } else if (result.ok() && attempt == &attempt_stats) {
     *opts.stats += attempt_stats;
   }
   SEQ_RETURN_IF_ERROR(result.status());
@@ -601,24 +593,19 @@ Result<QueryResult> Engine::PreparedQuery::Run(const RunOptions& opts) const {
   run_exec.telemetry = ticket.telemetry();
   return RunRecorded(ticket, [&]() -> Result<QueryResult> {
     Executor executor(*catalog_, params_, run_exec);
-    if (opts.sink) {
-      SEQ_RETURN_IF_ERROR(executor.ExecuteVisit(plan_, opts.sink, opts.stats));
-      QueryResult out;
-      out.schema = plan_.schema;
-      return out;
-    }
+    QueryProfile prof;
+    SEQ_ASSIGN_OR_RETURN(
+        QueryResult run,
+        executor.Execute(plan_, opts.stats, opts.sink,
+                         opts.profile ? &prof : nullptr));
     if (opts.profile) {
-      QueryProfile prof;
-      SEQ_ASSIGN_OR_RETURN(QueryResult run,
-                           executor.ExecuteProfiled(plan_, &prof, opts.stats));
       const MorselPlan morsels = executor.PlanMorsels(plan_);
       if (morsels.parallel) {
         prof.notes.push_back("execution: " + morsels.reason);
       }
       run.profile = std::move(prof);
-      return run;
     }
-    return executor.Execute(plan_, opts.stats);
+    return run;
   });
 }
 

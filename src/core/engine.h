@@ -17,10 +17,11 @@
 namespace seq {
 
 /// Per-query run configuration — the one way to say HOW a query executes.
-/// Replaces the old pattern of mutating engine-wide exec_options() between
-/// queries: a RunOptions travels with the call, so concurrent queries on
-/// one engine can use different budgets, parallelism, driving modes and
-/// instrumentation without racing on shared engine state.
+/// A RunOptions travels with the call, so concurrent queries on one engine
+/// can use different budgets, parallelism, driving modes and
+/// instrumentation without racing on shared engine state. Every field
+/// reaches the executor's one run entry, Executor::Execute (or
+/// ExecuteCheckpointed for a checkpointed run).
 ///
 ///   RunOptions opts;
 ///   opts.exec.guards.max_rows = 1000;
@@ -31,9 +32,7 @@ struct RunOptions {
   /// Execution knobs for this run: driving mode, batch capacity, budgets,
   /// fault injection, morsel parallelism (a share cap on the process-wide
   /// scheduler pool), scheduler priority and admission timeout. Defaults
-  /// are the library defaults (including SEQ_USE_BATCH / SEQ_PARALLELISM),
-  /// NOT whatever was last poked into the deprecated engine-wide
-  /// exec_options().
+  /// are the library defaults (including SEQ_USE_BATCH / SEQ_PARALLELISM).
   ExecOptions exec = {};
   /// Collect the per-operator runtime profile and optimizer trace into
   /// QueryResult::profile. Slower (every operator call is timed); the
@@ -207,10 +206,10 @@ class Engine {
 
   /// Run behind the always-on telemetry envelope that Run owns
   /// (query-registry ticket, run counters/latency histogram, slow-query
-  /// log): plans, records the morsel-parallelism decision, executes
-  /// (plain / profiled / sink / checkpointed), and re-plans cache-free on
-  /// the cache-budget degradation signal (non-sink paths only — sunk rows
-  /// can't be unsent).
+  /// log): plans, records the morsel-parallelism decision, executes (one
+  /// Executor::Execute call — plain, profiled or sink — or the checkpointed
+  /// driver), and re-plans cache-free on the cache-budget degradation
+  /// signal (non-sink paths only — sunk rows can't be unsent).
   Result<QueryResult> RunPlanned(const Query& query, const RunOptions& opts,
                                  QueryRegistry::Ticket& ticket) const;
 

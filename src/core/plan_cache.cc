@@ -223,8 +223,9 @@ PlanCache& PlanCache::Global() {
         EnvSize("SEQ_PLAN_CACHE_ENTRIES", kDefaultMaxEntries),
         EnvSize("SEQ_PLAN_CACHE_BYTES", kDefaultMaxBytes));
     // SEQ_PLAN_CACHE=0/off/false starts the cache disabled; anything else
-    // (including unset) leaves it on. ExecOptions::use_plan_cache reads
-    // the same variable for the per-query default.
+    // (including unset) leaves it on. This flag is the only switch for the
+    // whole process: `.plancache on|off` flips it, and
+    // ExecOptions::use_plan_cache only opts single queries out.
     if (const char* env = std::getenv("SEQ_PLAN_CACHE")) {
       const std::string_view v(env);
       if (v == "0" || v == "off" || v == "false") c->set_enabled(false);

@@ -42,6 +42,21 @@ struct QueryGuards {
     return max_rows > 0 || max_pages > 0 || max_wall_ms > 0 ||
            cancel != nullptr;
   }
+
+  /// The page and row budget checks, in that order, against whole-query
+  /// totals: a serial run passes its own counts, a morsel group or a
+  /// checkpointed run the totals it keeps across units.
+  Status CheckBudgets(int64_t pages, int64_t rows) const {
+    if (max_pages > 0 && pages > max_pages) {
+      return Status::ResourceExhausted("query exceeded page-access budget of " +
+                                       std::to_string(max_pages) + " pages");
+    }
+    if (max_rows > 0 && rows > max_rows) {
+      return Status::ResourceExhausted("query exceeded row budget of " +
+                                       std::to_string(max_rows) + " rows");
+    }
+    return Status::OK();
+  }
 };
 
 /// Message prefix of the degradation signal raised when an operator cache
@@ -79,7 +94,7 @@ struct ExecContext {
   /// production runs; every polling site gates on the pointer first.
   FaultInjector* faults = nullptr;
 
-  /// Per-query budgets; ArmGuards() latches the wall-clock deadline.
+  /// Per-query budgets; ArmGuardsAt() latches the wall-clock deadline.
   QueryGuards guards;
 
   // ---- Mid-stream error channel ----------------------------------------
@@ -89,8 +104,9 @@ struct ExecContext {
   // failing operator Raise()s a status here and returns end-of-stream.
   // Every native batch loop checks failed() between child pulls, the
   // default adapters terminate on the end-of-stream they are handed, and
-  // the executor's driving loop surfaces the raised status from
-  // Execute/ExecuteVisit — partial rows are discarded, never returned.
+  // the executor's one driving loop stops at it; its caller surfaces the
+  // raised status — materialized partial rows are discarded, never
+  // returned (rows a sink already saw stay seen).
 
   bool failed() const { return !error_.ok(); }
   const Status& error() const { return error_; }
@@ -109,19 +125,10 @@ struct ExecContext {
 
   // ---- Guard checks -----------------------------------------------------
 
-  /// Latches the wall-clock deadline; called once by the executor before
-  /// driving the plan.
-  void ArmGuards() {
-    if (guards.max_wall_ms > 0) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(guards.max_wall_ms);
-      has_deadline_ = true;
-    }
-  }
-
-  /// Latches a caller-computed deadline. Morsel workers all arm the SAME
-  /// instant (computed once before any worker spawns), so the wall-clock
-  /// budget measures the query, not each worker's start skew.
+  /// Latches the query's wall-clock deadline, computed once by the
+  /// executor before anything runs: every morsel worker and checkpoint
+  /// chunk arms the SAME instant, so the budget measures the query, not
+  /// each unit's start skew.
   void ArmGuardsAt(std::chrono::steady_clock::time_point deadline) {
     deadline_ = deadline;
     has_deadline_ = true;
@@ -140,18 +147,9 @@ struct ExecContext {
           "query exceeded wall-clock budget of " +
           std::to_string(guards.max_wall_ms) + "ms");
     }
-    if (guards.max_pages > 0 && stats != nullptr &&
-        stats->stream_pages + stats->probe_pages > guards.max_pages) {
-      return Status::ResourceExhausted(
-          "query exceeded page-access budget of " +
-          std::to_string(guards.max_pages) + " pages");
-    }
-    if (guards.max_rows > 0 && rows_emitted > guards.max_rows) {
-      return Status::ResourceExhausted("query exceeded row budget of " +
-                                       std::to_string(guards.max_rows) +
-                                       " rows");
-    }
-    return Status::OK();
+    return guards.CheckBudgets(
+        stats != nullptr ? stats->stream_pages + stats->probe_pages : 0,
+        rows_emitted);
   }
 
   // ---- Fault polling ----------------------------------------------------

@@ -64,10 +64,11 @@ OperatorProfile* AddProfileNode(OperatorProfile* parent,
 
 /// Publishes serial driving-loop progress into the live-query record.
 /// Rows are reported as the caller's per-batch delta; pages are read as
-/// deltas from the context's stats block (ExecuteImpl/ExecuteVisit install
-/// a local block whenever telemetry is set). Construction marks one
-/// worker live, destruction marks it idle; all accesses are relaxed
-/// atomics, so reporting never blocks and a null telemetry costs a branch.
+/// deltas from the context's stats block (a serial run installs a local
+/// block whenever telemetry is set; a checkpoint chunk has its own).
+/// Construction marks one worker live, destruction marks it idle; all
+/// accesses are relaxed atomics, so reporting never blocks and a null
+/// telemetry costs a branch.
 class TelemetryReporter {
  public:
   TelemetryReporter(QueryTelemetry* telem, const AccessStats* stats)
@@ -114,16 +115,6 @@ int DefaultParallelism() {
   static const int kParallelism =
       ValidatedEnvInt("SEQ_PARALLELISM", 1, /*fallback=*/1);
   return kParallelism;
-}
-
-bool DefaultUsePlanCache() {
-  static const bool kUsePlanCache = [] {
-    const char* env = std::getenv("SEQ_PLAN_CACHE");
-    if (env == nullptr) return true;
-    const std::string_view v(env);
-    return v != "0" && v != "off" && v != "false";
-  }();
-  return kUsePlanCache;
 }
 
 Result<SeqOpPtr> Executor::Build(const PhysNodePtr& node,
@@ -714,6 +705,168 @@ struct SharedGuardState {
   }
 };
 
+
+/// The query's wall-clock deadline, computed once before any unit runs.
+std::optional<std::chrono::steady_clock::time_point> QueryDeadline(
+    const QueryGuards& guards) {
+  if (guards.max_wall_ms <= 0) return std::nullopt;
+  return std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(guards.max_wall_ms);
+}
+
+/// Where a driven unit's answer rows go: appended to `rows`, or handed to
+/// `sink` when that is set.
+struct RowOut {
+  std::vector<PosRecord>* rows = nullptr;
+  const RowSink* sink = nullptr;
+
+  /// A row in a pipeline slot buffer. Materializing moves the *values*
+  /// out — stealing the slot vector itself would drain the pipeline's
+  /// reusable buffers and reintroduce a per-row allocation upstream.
+  void Slot(Position pos, Record& rec) const {
+    if (sink != nullptr) {
+      (*sink)(pos, rec);
+      return;
+    }
+    rows->emplace_back();
+    rows->back().pos = pos;
+    MoveRecordValues(rows->back().rec, rec);
+  }
+
+  /// A row the root handed over by value (tuple driving).
+  void Owned(PosRecord&& row) const {
+    if (sink != nullptr) {
+      (*sink)(row.pos, row.rec);
+      return;
+    }
+    rows->push_back(std::move(row));
+  }
+};
+
+/// The part of the plan's output one root is driven over: the whole plan
+/// for a serial run, a morsel, or a checkpoint chunk.
+struct DriveUnit {
+  AccessMode mode = AccessMode::kStream;
+  /// Stream roots emit only the rows inside `emit` (a morsel's clipped
+  /// clone may produce rows outside it; a whole plan's root never does —
+  /// the optimizer clips every node to the requested range). Probed roots
+  /// without `positions` probe every position of it.
+  Span emit = Span::Empty();
+  /// Probed roots probe exactly these ascending positions. Stream roots
+  /// keep only the rows at them, filtered during a tuple-at-a-time scan
+  /// (the point filter is positional, not batch-shaped).
+  std::span<const Position> positions;
+  /// When set, polled before every batch: a morsel worker stops as soon
+  /// as a sibling has failed.
+  const std::atomic<bool>* stop = nullptr;
+};
+
+/// The Start operator (paper §4): drives an opened root over `unit` — a
+/// stream access or probes at positions, batch- or tuple-at-a-time as
+/// `opts.use_batch` says — hands every answer row to `out`, charges it to
+/// records_output, and then calls `account(rows)` after every batch
+/// (every tuple or probe on the tuple path). Returns the first non-OK
+/// accounting status. A mid-stream error stops the loop and stays in
+/// `ctx` for the caller, which closes the root.
+template <typename Account>
+Status DriveRoot(SeqOp& root, ExecContext& ctx, const ExecOptions& opts,
+                 const DriveUnit& unit, const RowOut& out, Account&& account) {
+  Status status;
+  auto step = [&](int64_t rows) {
+    if (ctx.stats != nullptr) ctx.stats->records_output += rows;
+    status = account(rows);
+    return status.ok();
+  };
+  auto stopped = [&] {
+    return unit.stop != nullptr && unit.stop->load(std::memory_order_relaxed);
+  };
+  const Span emit = unit.emit;
+  const size_t cap = opts.batch_capacity;
+
+  if (unit.mode == AccessMode::kStream) {
+    if (emit.IsEmpty()) return status;
+    if (opts.use_batch && unit.positions.empty()) {
+      RecordBatch batch(cap);
+      while (!stopped() && root.NextBatch(&batch) > 0) {
+        if (ctx.failed()) break;
+        int64_t emitted = 0;
+        for (size_t i = 0; i < batch.size(); ++i) {
+          if (batch.pos(i) < emit.start || batch.pos(i) > emit.end) continue;
+          out.Slot(batch.pos(i), batch.rec(i));
+          ++emitted;
+        }
+        if (!step(emitted)) break;
+      }
+      return status;
+    }
+    size_t next_wanted = 0;
+    std::optional<PosRecord> r = root.NextAtOrAfter(emit.start);
+    while (r.has_value() && r->pos <= emit.end) {
+      if (ctx.failed()) break;
+      bool wanted = true;
+      if (!unit.positions.empty()) {
+        while (next_wanted < unit.positions.size() &&
+               unit.positions[next_wanted] < r->pos) {
+          ++next_wanted;
+        }
+        wanted = next_wanted < unit.positions.size() &&
+                 unit.positions[next_wanted] == r->pos;
+      }
+      if (wanted) out.Owned(std::move(*r));
+      if (!step(wanted ? 1 : 0)) break;
+      r = root.Next();
+    }
+    return status;
+  }
+
+  // Probed driving (Fig. 6). Batch driving chunks the positions through
+  // ProbeBatch; the probe sets equal the tuple loop's, so AccessStats
+  // parity holds here for the same reason it does on the stream side.
+  if (opts.use_batch) {
+    RecordBatch batch(cap);
+    auto probe_chunk = [&](std::span<const Position> chunk) {
+      const size_t n = root.ProbeBatch(chunk, &batch);
+      if (ctx.failed()) return false;
+      for (size_t i = 0; i < n; ++i) out.Slot(batch.pos(i), batch.rec(i));
+      return step(static_cast<int64_t>(n));
+    };
+    if (!unit.positions.empty()) {
+      const std::span<const Position> all = unit.positions;
+      for (size_t off = 0; off < all.size() && !stopped(); off += cap) {
+        if (!probe_chunk(all.subspan(off, std::min(cap, all.size() - off)))) {
+          break;
+        }
+      }
+      return status;
+    }
+    std::vector<Position> chunk;
+    chunk.reserve(cap);
+    Position p = emit.start;
+    while (p <= emit.end && !stopped()) {
+      chunk.clear();
+      while (chunk.size() < cap && p <= emit.end) chunk.push_back(p++);
+      if (!probe_chunk(chunk)) break;
+    }
+    return status;
+  }
+  auto probe_one = [&](Position p) {
+    std::optional<Record> r = root.Probe(p);
+    if (ctx.failed()) return false;
+    if (r.has_value()) out.Owned(PosRecord{p, std::move(*r)});
+    return step(r.has_value() ? 1 : 0);
+  };
+  if (!unit.positions.empty()) {
+    for (Position p : unit.positions) {
+      if (!probe_one(p)) break;
+    }
+  } else {
+    for (Position p = emit.start; p <= emit.end; ++p) {
+      if (!probe_one(p)) break;
+    }
+  }
+  return status;
+}
+
 }  // namespace
 
 MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
@@ -754,7 +907,7 @@ MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
       oss << "parallel: " << workers << " workers over " << n
           << " probe positions";
       mp.reason = oss.str();
-      return mp;  // morsels stay empty: ExecuteParallel chunks the list
+      return mp;  // morsels stay empty: ExecuteMorsels chunks the list
     }
     if (plan.output_span.IsEmpty()) return serial("empty output span");
     if (plan.output_span.IsUnbounded()) return serial("unbounded probe range");
@@ -856,15 +1009,23 @@ MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
   return mp;
 }
 
-Result<QueryResult> Executor::ExecuteParallel(const PhysicalPlan& plan,
-                                              const MorselPlan& mp,
-                                              AccessStats* stats,
-                                              OperatorProfile* root_profile)
-    const {
-  return ExecuteParallelInner(plan, mp, stats, root_profile, nullptr);
+ExecContext Executor::UnitContext(AccessStats* stats, const Deadline& deadline,
+                                  bool split) const {
+  ExecContext ctx;
+  ctx.catalog = &catalog_;
+  ctx.stats = stats;
+  ctx.params = params_;
+  ctx.faults = options_.fault_injector;
+  ctx.guards = options_.guards;
+  if (split) {
+    ctx.guards.max_rows = 0;
+    ctx.guards.max_pages = 0;
+  }
+  if (deadline.has_value()) ctx.ArmGuardsAt(*deadline);
+  return ctx;
 }
 
-Result<QueryResult> Executor::ExecuteParallelInner(
+Result<QueryResult> Executor::ExecuteMorsels(
     const PhysicalPlan& plan, const MorselPlan& mp, AccessStats* stats,
     OperatorProfile* root_profile, const ChunkExtras* extras) const {
   const bool probed = plan.root_mode == AccessMode::kProbed;
@@ -877,15 +1038,8 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   // not each worker's skew. A checkpointed chunk inherits the deadline
   // computed before chunk 0 — the wall budget spans the whole run, not
   // each chunk.
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = options_.guards.max_wall_ms > 0;
-  if (extras != nullptr) {
-    has_deadline = extras->has_deadline;
-    deadline = extras->deadline;
-  } else if (has_deadline) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(options_.guards.max_wall_ms);
-  }
+  const Deadline deadline =
+      extras != nullptr ? extras->deadline : QueryDeadline(options_.guards);
 
   // Admission to the process-wide scheduler: at most max_running parallel
   // queries execute at once; beyond that this thread waits (visible as
@@ -896,7 +1050,7 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   QueryScheduler::AdmitRequest admit_request;
   admit_request.priority = options_.priority;
   admit_request.timeout_ms = options_.admission_timeout_ms;
-  if (has_deadline) admit_request.deadline = deadline;
+  admit_request.deadline = deadline;
   admit_request.cancel = options_.guards.cancel;
   int pre_admit_state = static_cast<int>(QueryState::kExecuting);
   if (telem != nullptr) {
@@ -924,7 +1078,7 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   struct Unit {
     PhysNodePtr node;
     Span emit = Span::Empty();
-    size_t pos_begin = 0, pos_end = 0;  // probed position-list chunk
+    std::span<const Position> positions;  // probed position-list chunk
   };
   std::vector<Unit> units;
   if (probed_list) {
@@ -937,8 +1091,8 @@ Result<QueryResult> Executor::ExecuteParallelInner(
     for (size_t off = 0; off < n; off += step) {
       Unit u;
       u.node = plan.root;
-      u.pos_begin = off;
-      u.pos_end = std::min(n, off + step);
+      u.positions = std::span<const Position>(plan.positions)
+                        .subspan(off, std::min(step, n - off));
       units.push_back(std::move(u));
     }
   } else if (probed) {
@@ -1013,19 +1167,13 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   auto run_unit = [&](size_t ui) {
     const auto unit_start = std::chrono::steady_clock::now();
     const Unit& unit = units[ui];
-    ExecContext ctx;
-    ctx.catalog = &catalog_;
-    ctx.stats = &unit_stats[ui];
-    ctx.params = params_;
-    ctx.faults = nullptr;  // an armed injector forces serial in PlanMorsels
-    ctx.guards = options_.guards;
+    AccessStats& mstats = unit_stats[ui];
     // Rows and pages are whole-query budgets, enforced against the shared
-    // totals; the worker context keeps only the cooperative stop flag, the
-    // shared deadline and the (position-determined) cache budget.
-    ctx.guards.max_rows = 0;
-    ctx.guards.max_pages = 0;
+    // totals below; the worker context keeps the shared deadline, the
+    // (position-determined) cache budget and, as its cancel flag, the
+    // group's stop flag.
+    ExecContext ctx = UnitContext(&mstats, deadline, /*split=*/true);
     ctx.guards.cancel = &shared.stop;
-    if (has_deadline) ctx.ArmGuardsAt(deadline);
 
     Result<SeqOpPtr> built = Build(
         unit.node, root_profile != nullptr ? &unit_profiles[ui] : nullptr);
@@ -1040,115 +1188,46 @@ Result<QueryResult> Executor::ExecuteParallelInner(
       return;
     }
 
-    std::vector<PosRecord>& out = unit_records[ui];
-    AccessStats& mstats = unit_stats[ui];
-    int64_t pages_seen = 0;
-
     // Post-batch accounting against the shared budgets, in the serial
-    // CheckGuards order (cancel, deadline, pages, rows), with the serial
-    // messages. Page deltas from the final drain (after the last non-empty
-    // batch) are intentionally NOT accounted — the serial driver never
-    // checks after them either.
+    // CheckGuards order (cancel, deadline, pages, rows). Page deltas from
+    // the final drain (after the last non-empty batch) are intentionally
+    // NOT accounted — the serial driver never checks after them either.
+    int64_t pages_seen = 0;
     auto account = [&](int64_t emitted) {
-      Status g = ctx.CheckGuards(0);  // cancel + deadline
-      if (!g.ok()) {
-        shared.Fail(std::move(g));
-        return false;
-      }
-      const int64_t page_now = mstats.stream_pages + mstats.probe_pages;
-      const int64_t page_delta = page_now - pages_seen;
-      pages_seen = page_now;
-      if (telem != nullptr) {
-        if (page_delta > 0) {
-          telem->pages.fetch_add(page_delta, std::memory_order_relaxed);
+      Status g = ctx.CheckGuards(0);  // stop flag + deadline
+      if (g.ok()) {
+        const int64_t page_now = mstats.stream_pages + mstats.probe_pages;
+        const int64_t page_delta = page_now - pages_seen;
+        pages_seen = page_now;
+        if (telem != nullptr) {
+          if (page_delta > 0) {
+            telem->pages.fetch_add(page_delta, std::memory_order_relaxed);
+          }
+          if (emitted > 0) {
+            telem->rows.fetch_add(emitted, std::memory_order_relaxed);
+          }
         }
-        if (emitted > 0) {
-          telem->rows.fetch_add(emitted, std::memory_order_relaxed);
-        }
+        const QueryGuards& budgets = options_.guards;
+        const int64_t pages =
+            budgets.max_pages > 0
+                ? shared.pages.fetch_add(page_delta,
+                                         std::memory_order_relaxed) +
+                      page_delta
+                : 0;
+        const int64_t rows =
+            budgets.max_rows > 0
+                ? shared.rows.fetch_add(emitted, std::memory_order_relaxed) +
+                      emitted
+                : 0;
+        g = budgets.CheckBudgets(pages, rows);
       }
-      if (options_.guards.max_pages > 0) {
-        const int64_t total =
-            shared.pages.fetch_add(page_delta, std::memory_order_relaxed) +
-            page_delta;
-        if (total > options_.guards.max_pages) {
-          shared.Fail(Status::ResourceExhausted(
-              "query exceeded page-access budget of " +
-              std::to_string(options_.guards.max_pages) + " pages"));
-          return false;
-        }
-      }
-      if (options_.guards.max_rows > 0) {
-        const int64_t total =
-            shared.rows.fetch_add(emitted, std::memory_order_relaxed) +
-            emitted;
-        if (total > options_.guards.max_rows) {
-          shared.Fail(Status::ResourceExhausted(
-              "query exceeded row budget of " +
-              std::to_string(options_.guards.max_rows) + " rows"));
-          return false;
-        }
-      }
-      return true;
+      if (!g.ok()) shared.Fail(g);
+      return g;
     };
-
-    RecordBatch batch(options_.batch_capacity);
-    if (!probed) {
-      const Span emit = unit.emit;
-      while (!shared.stop.load(std::memory_order_relaxed)) {
-        if (root->NextBatch(&batch) == 0) break;
-        if (ctx.failed()) break;
-        int64_t emitted = 0;
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (batch.pos(i) < emit.start || batch.pos(i) > emit.end) continue;
-          out.emplace_back();
-          PosRecord& pr = out.back();
-          pr.pos = batch.pos(i);
-          MoveRecordValues(pr.rec, batch.rec(i));
-          ++emitted;
-        }
-        mstats.records_output += emitted;
-        if (!account(emitted)) break;
-      }
-    } else {
-      auto probe_chunk = [&](std::span<const Position> chunk) {
-        const size_t n = root->ProbeBatch(chunk, &batch);
-        if (ctx.failed()) return false;
-        for (size_t i = 0; i < n; ++i) {
-          out.emplace_back();
-          PosRecord& pr = out.back();
-          pr.pos = batch.pos(i);
-          MoveRecordValues(pr.rec, batch.rec(i));
-        }
-        mstats.records_output += static_cast<int64_t>(n);
-        return account(static_cast<int64_t>(n));
-      };
-      if (probed_list) {
-        std::span<const Position> all(plan.positions);
-        for (size_t off = unit.pos_begin;
-             off < unit.pos_end &&
-             !shared.stop.load(std::memory_order_relaxed);
-             off += options_.batch_capacity) {
-          if (!probe_chunk(all.subspan(
-                  off,
-                  std::min(options_.batch_capacity, unit.pos_end - off)))) {
-            break;
-          }
-        }
-      } else {
-        std::vector<Position> chunk;
-        chunk.reserve(options_.batch_capacity);
-        Position p = unit.emit.start;
-        while (p <= unit.emit.end &&
-               !shared.stop.load(std::memory_order_relaxed)) {
-          chunk.clear();
-          while (chunk.size() < options_.batch_capacity &&
-                 p <= unit.emit.end) {
-            chunk.push_back(p++);
-          }
-          if (!probe_chunk(chunk)) break;
-        }
-      }
-    }
+    const DriveUnit drive{plan.root_mode, unit.emit, unit.positions,
+                          &shared.stop};
+    DriveRoot(*root, ctx, options_, drive, RowOut{&unit_records[ui]},
+              account);
     root->Close();
     Status err = ctx.TakeError();
     if (!err.ok()) shared.Fail(std::move(err));
@@ -1221,165 +1300,16 @@ Result<QueryResult> Executor::ExecuteParallelInner(
 }
 
 Result<QueryResult> Executor::Execute(const PhysicalPlan& plan,
-                                      AccessStats* stats) const {
-  return ExecuteImpl(plan, stats, nullptr);
-}
-
-Status Executor::ExecuteVisit(const PhysicalPlan& plan, const RowSink& sink,
-                              AccessStats* stats) const {
-  if (plan.root == nullptr) {
-    return Status::InvalidArgument("plan has no root");
+                                      AccessStats* stats, const RowSink& sink,
+                                      QueryProfile* profile) const {
+  if (profile == nullptr) return ExecuteImpl(plan, stats, sink, nullptr);
+  if (sink) {
+    return Status::InvalidArgument("a profiled run cannot stream to a sink");
   }
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.stats = stats;
-  ctx.params = params_;
-  ctx.faults = options_.fault_injector;
-  ctx.guards = options_.guards;
-  ctx.ArmGuards();
-  // The page budget is counted from AccessStats, and live telemetry reads
-  // its page charges from there too — so install a local block even when
-  // the caller did not ask for stats.
-  AccessStats guard_stats;
-  if ((ctx.guards.max_pages > 0 || options_.telemetry != nullptr) &&
-      stats == nullptr) {
-    ctx.stats = &guard_stats;
-  }
-
-  SEQ_ASSIGN_OR_RETURN(SeqOpPtr root, Build(plan.root, nullptr));
-  SEQ_RETURN_IF_ERROR(root->Open(&ctx));
-  TelemetryReporter telem(options_.telemetry, ctx.stats);
-
-  // Rows already handed to the sink before a mid-stream error or budget
-  // trip have been seen — streaming consumption cannot take them back. The
-  // returned status still reports the failure; see docs/robustness.md.
-  int64_t emitted = 0;
-  Status guard_status;
-
-  if (plan.root_mode == AccessMode::kStream) {
-    const Span range = plan.output_span;
-    if (!range.IsEmpty() && options_.use_batch && plan.positions.empty()) {
-      // Batch driving: rows are visited in their pipeline slot buffers —
-      // no per-row materialization anywhere on this path.
-      RecordBatch batch(options_.batch_capacity);
-      while (root->NextBatch(&batch) > 0) {
-        if (ctx.failed()) break;
-        int64_t batch_emitted = 0;
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (batch.pos(i) < range.start || batch.pos(i) > range.end) {
-            continue;
-          }
-          sink(batch.pos(i), batch.rec(i));
-          ++batch_emitted;
-        }
-        if (stats != nullptr) stats->records_output += batch_emitted;
-        emitted += batch_emitted;
-        telem.Report(batch_emitted);
-        guard_status = ctx.CheckGuards(emitted);
-        if (!guard_status.ok()) break;
-      }
-    } else if (!range.IsEmpty()) {
-      size_t next_wanted = 0;
-      std::optional<PosRecord> r = root->NextAtOrAfter(range.start);
-      while (r.has_value() && r->pos <= range.end) {
-        if (ctx.failed()) break;
-        bool wanted = true;
-        if (!plan.positions.empty()) {
-          while (next_wanted < plan.positions.size() &&
-                 plan.positions[next_wanted] < r->pos) {
-            ++next_wanted;
-          }
-          wanted = next_wanted < plan.positions.size() &&
-                   plan.positions[next_wanted] == r->pos;
-        }
-        if (wanted) {
-          sink(r->pos, r->rec);
-          if (stats != nullptr) ++stats->records_output;
-          ++emitted;
-        }
-        telem.Report(wanted ? 1 : 0);
-        guard_status = ctx.CheckGuards(emitted);
-        if (!guard_status.ok()) break;
-        r = root->Next();
-      }
-    }
-    root->Close();
-    SEQ_RETURN_IF_ERROR(ctx.TakeError());
-    return guard_status;
-  }
-
-  // Probed driving.
-  if (options_.use_batch) {
-    RecordBatch batch(options_.batch_capacity);
-    // Returns false when a fault or budget stops the query.
-    auto probe_chunk = [&](std::span<const Position> chunk) {
-      size_t n = root->ProbeBatch(chunk, &batch);
-      if (ctx.failed()) return false;
-      for (size_t i = 0; i < n; ++i) sink(batch.pos(i), batch.rec(i));
-      if (stats != nullptr) stats->records_output += static_cast<int64_t>(n);
-      emitted += static_cast<int64_t>(n);
-      telem.Report(static_cast<int64_t>(n));
-      guard_status = ctx.CheckGuards(emitted);
-      return guard_status.ok();
-    };
-    if (!plan.positions.empty()) {
-      std::span<const Position> all(plan.positions);
-      for (size_t off = 0; off < all.size(); off += options_.batch_capacity) {
-        if (!probe_chunk(all.subspan(
-                off, std::min(options_.batch_capacity, all.size() - off)))) {
-          break;
-        }
-      }
-    } else if (!plan.output_span.IsEmpty()) {
-      std::vector<Position> chunk;
-      chunk.reserve(options_.batch_capacity);
-      Position p = plan.output_span.start;
-      while (p <= plan.output_span.end) {
-        chunk.clear();
-        while (chunk.size() < options_.batch_capacity &&
-               p <= plan.output_span.end) {
-          chunk.push_back(p++);
-        }
-        if (!probe_chunk(chunk)) break;
-      }
-    }
-  } else {
-    auto probe_one = [&](Position p) {
-      std::optional<Record> r = root->Probe(p);
-      if (ctx.failed()) return false;
-      if (r.has_value()) {
-        sink(p, *r);
-        if (stats != nullptr) ++stats->records_output;
-        ++emitted;
-      }
-      telem.Report(r.has_value() ? 1 : 0);
-      guard_status = ctx.CheckGuards(emitted);
-      return guard_status.ok();
-    };
-    if (!plan.positions.empty()) {
-      for (Position p : plan.positions) {
-        if (!probe_one(p)) break;
-      }
-    } else if (!plan.output_span.IsEmpty()) {
-      for (Position p = plan.output_span.start; p <= plan.output_span.end;
-           ++p) {
-        if (!probe_one(p)) break;
-      }
-    }
-  }
-  root->Close();
-  SEQ_RETURN_IF_ERROR(ctx.TakeError());
-  return guard_status;
-}
-
-Result<QueryResult> Executor::ExecuteProfiled(const PhysicalPlan& plan,
-                                              QueryProfile* profile,
-                                              AccessStats* stats) const {
-  SEQ_CHECK(profile != nullptr);
   profile->Reset();
 
-  // The Start operator (the driving loop below) gets the root profile
-  // node; the plan tree hangs under it.
+  // The Start operator (the driving loop) gets the root profile node; the
+  // plan tree hangs under it.
   OperatorProfile& root = *profile->root;
   {
     std::ostringstream oss;
@@ -1406,7 +1336,7 @@ Result<QueryResult> Executor::ExecuteProfiled(const PhysicalPlan& plan,
   // one: the wrappers read simulated-cost / cache-counter deltas from it.
   AccessStats local;
   auto start = std::chrono::steady_clock::now();
-  Result<QueryResult> result = ExecuteImpl(plan, &local, &root);
+  Result<QueryResult> result = ExecuteImpl(plan, &local, sink, &root);
   int64_t wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count();
@@ -1427,24 +1357,22 @@ Result<QueryResult> Executor::ExecuteProfiled(const PhysicalPlan& plan,
 
 Result<QueryResult> Executor::ExecuteImpl(const PhysicalPlan& plan,
                                           AccessStats* stats,
+                                          const RowSink& sink,
                                           OperatorProfile* root_profile)
     const {
   if (plan.root == nullptr) {
     return Status::InvalidArgument("plan has no root");
   }
-  if (options_.parallelism > 1) {
+  // A sink run stays serial: the sink gets every row in position order,
+  // on the calling thread.
+  if (!sink && options_.parallelism > 1) {
     const MorselPlan morsels = PlanMorsels(plan);
     if (morsels.parallel) {
-      return ExecuteParallel(plan, morsels, stats, root_profile);
+      return ExecuteMorsels(plan, morsels, stats, root_profile, nullptr);
     }
   }
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.stats = stats;
-  ctx.params = params_;
-  ctx.faults = options_.fault_injector;
-  ctx.guards = options_.guards;
-  ctx.ArmGuards();
+  ExecContext ctx =
+      UnitContext(stats, QueryDeadline(options_.guards), /*split=*/false);
   // The page budget is counted from AccessStats, and live telemetry reads
   // its page charges from there too — so install a local block even when
   // the caller did not ask for stats.
@@ -1456,156 +1384,34 @@ Result<QueryResult> Executor::ExecuteImpl(const PhysicalPlan& plan,
 
   QueryResult result;
   result.schema = plan.schema;
-
-  // Running root-row count for the row budget; a mid-stream fault or
-  // budget trip discards the whole partial result — Execute never returns
-  // truncated answers.
-  int64_t emitted = 0;
-  Status guard_status;
-
   SEQ_ASSIGN_OR_RETURN(SeqOpPtr root, Build(plan.root, root_profile));
   SEQ_RETURN_IF_ERROR(root->Open(&ctx));
-  TelemetryReporter telem(options_.telemetry, ctx.stats);
 
-  if (plan.root_mode == AccessMode::kStream) {
-    const Span range = plan.output_span;
+  const RowOut out{&result.records, sink ? &sink : nullptr};
+  if (!sink && plan.root_mode == AccessMode::kStream) {
     // Pre-size the result from the optimizer's row estimate (capped so a
     // wild overestimate cannot balloon the allocation).
-    double est = plan.root->EstRows();
+    const double est = plan.root->EstRows();
     if (est > 0) {
-      result.records.reserve(std::min(static_cast<size_t>(est) + 16,
-                                      size_t{1} << 20));
+      result.records.reserve(
+          std::min(static_cast<size_t>(est) + 16, size_t{1} << 20));
     }
-    if (!range.IsEmpty() && options_.use_batch && plan.positions.empty()) {
-      // Batch driving. The optimizer clips every node's required span to
-      // the requested range, so the root never emits outside [range.start,
-      // range.end]; the bounds check below is purely defensive. Records
-      // are materialized by moving the *values* out of the batch slots —
-      // stealing the slot vectors themselves would drain the pipeline's
-      // reusable buffers and reintroduce a per-row allocation upstream.
-      RecordBatch batch(options_.batch_capacity);
-      while (root->NextBatch(&batch) > 0) {
-        if (ctx.failed()) break;
-        size_t before = result.records.size();
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (batch.pos(i) < range.start || batch.pos(i) > range.end) {
-            continue;
-          }
-          result.records.emplace_back();
-          PosRecord& pr = result.records.back();
-          pr.pos = batch.pos(i);
-          MoveRecordValues(pr.rec, batch.rec(i));
-        }
-        if (stats != nullptr) {
-          stats->records_output +=
-              static_cast<int64_t>(result.records.size() - before);
-        }
-        emitted += static_cast<int64_t>(result.records.size() - before);
-        telem.Report(static_cast<int64_t>(result.records.size() - before));
-        guard_status = ctx.CheckGuards(emitted);
-        if (!guard_status.ok()) break;
-      }
-    } else if (!range.IsEmpty()) {
-      // Point queries served by a stream plan filter to the requested
-      // positions during the scan.
-      size_t next_wanted = 0;
-      std::optional<PosRecord> r = root->NextAtOrAfter(range.start);
-      while (r.has_value() && r->pos <= range.end) {
-        if (ctx.failed()) break;
-        bool wanted = true;
-        if (!plan.positions.empty()) {
-          while (next_wanted < plan.positions.size() &&
-                 plan.positions[next_wanted] < r->pos) {
-            ++next_wanted;
-          }
-          wanted = next_wanted < plan.positions.size() &&
-                   plan.positions[next_wanted] == r->pos;
-        }
-        if (wanted) {
-          result.records.push_back(std::move(*r));
-          if (stats != nullptr) ++stats->records_output;
-          ++emitted;
-        }
-        telem.Report(wanted ? 1 : 0);
-        guard_status = ctx.CheckGuards(emitted);
-        if (!guard_status.ok()) break;
-        r = root->Next();
-      }
-    }
-    root->Close();
-    SEQ_RETURN_IF_ERROR(ctx.TakeError());
-    SEQ_RETURN_IF_ERROR(guard_status);
-    return result;
   }
 
-  // Probed driving (Fig. 6): probe the requested positions, or every
-  // position of the range when none were listed. Batch driving chunks the
-  // (strictly ascending) position list through ProbeBatch; the probe sets
-  // are identical to the tuple loop, so AccessStats parity holds here for
-  // the same reason it does on the stream side.
-  if (options_.use_batch) {
-    RecordBatch batch(options_.batch_capacity);
-    // Returns false when a fault or budget stops the query.
-    auto probe_chunk = [&](std::span<const Position> chunk) {
-      size_t n = root->ProbeBatch(chunk, &batch);
-      if (ctx.failed()) return false;
-      for (size_t i = 0; i < n; ++i) {
-        result.records.emplace_back();
-        PosRecord& pr = result.records.back();
-        pr.pos = batch.pos(i);
-        MoveRecordValues(pr.rec, batch.rec(i));
-      }
-      if (stats != nullptr) stats->records_output += static_cast<int64_t>(n);
-      emitted += static_cast<int64_t>(n);
-      telem.Report(static_cast<int64_t>(n));
-      guard_status = ctx.CheckGuards(emitted);
-      return guard_status.ok();
-    };
-    if (!plan.positions.empty()) {
-      std::span<const Position> all(plan.positions);
-      for (size_t off = 0; off < all.size(); off += options_.batch_capacity) {
-        if (!probe_chunk(all.subspan(
-                off, std::min(options_.batch_capacity, all.size() - off)))) {
-          break;
-        }
-      }
-    } else if (!plan.output_span.IsEmpty()) {
-      std::vector<Position> chunk;
-      chunk.reserve(options_.batch_capacity);
-      Position p = plan.output_span.start;
-      while (p <= plan.output_span.end) {
-        chunk.clear();
-        while (chunk.size() < options_.batch_capacity &&
-               p <= plan.output_span.end) {
-          chunk.push_back(p++);
-        }
-        if (!probe_chunk(chunk)) break;
-      }
-    }
-  } else {
-    auto probe_one = [&](Position p) {
-      std::optional<Record> r = root->Probe(p);
-      if (ctx.failed()) return false;
-      if (r.has_value()) {
-        result.records.push_back(PosRecord{p, std::move(*r)});
-        if (stats != nullptr) ++stats->records_output;
-        ++emitted;
-      }
-      telem.Report(r.has_value() ? 1 : 0);
-      guard_status = ctx.CheckGuards(emitted);
-      return guard_status.ok();
-    };
-    if (!plan.positions.empty()) {
-      for (Position p : plan.positions) {
-        if (!probe_one(p)) break;
-      }
-    } else if (!plan.output_span.IsEmpty()) {
-      for (Position p = plan.output_span.start; p <= plan.output_span.end;
-           ++p) {
-        if (!probe_one(p)) break;
-      }
-    }
-  }
+  // Running root-row count for the row budget. A mid-stream fault or
+  // budget trip discards a materialized partial result — Execute never
+  // returns truncated answers — but rows already handed to a sink have
+  // been seen and cannot be taken back (docs/robustness.md).
+  int64_t emitted = 0;
+  TelemetryReporter telem(options_.telemetry, ctx.stats);
+  const Status guard_status = DriveRoot(
+      *root, ctx, options_,
+      DriveUnit{plan.root_mode, plan.output_span, plan.positions},
+      out, [&](int64_t rows) {
+        emitted += rows;
+        telem.Report(rows);
+        return ctx.CheckGuards(emitted);
+      });
   root->Close();
   SEQ_RETURN_IF_ERROR(ctx.TakeError());
   SEQ_RETURN_IF_ERROR(guard_status);
@@ -1648,7 +1454,7 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
   // are ignored and the reason is reported through the capture.
   auto fallback = [&](std::string why) -> Result<QueryResult> {
     capture->not_chunkable_reason = std::move(why);
-    return ExecuteImpl(plan, stats, nullptr);
+    return ExecuteImpl(plan, stats, {}, nullptr);
   };
 
   const bool probed = plan.root_mode == AccessMode::kProbed;
@@ -1748,12 +1554,7 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
     blob = std::move(rs.op_state);
   }
 
-  std::chrono::steady_clock::time_point deadline{};
-  const bool has_deadline = options_.guards.max_wall_ms > 0;
-  if (has_deadline) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(options_.guards.max_wall_ms);
-  }
+  const Deadline deadline = QueryDeadline(options_.guards);
 
   const bool parallel_chunks = !probed && options_.parallelism > 1 &&
                                options_.use_batch &&
@@ -1768,63 +1569,34 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
                               std::memory_order_relaxed);
   }
 
-  // Whole-query budget check against the running totals plus the current
-  // chunk's charges, in the serial CheckGuards order (cancel, deadline,
-  // pages, rows) with the serial messages — so a checkpointed run trips
-  // at exactly the same point, with the same status, as a plain one.
-  auto over_budget = [&](ExecContext* ctx, const AccessStats& cs,
-                         size_t chunk_rows) -> Status {
-    Status g = ctx->CheckGuards(0);  // cancel + deadline
-    if (!g.ok()) return g;
-    if (options_.guards.max_pages > 0) {
-      const int64_t pages = total.stream_pages + total.probe_pages +
-                            cs.stream_pages + cs.probe_pages;
-      if (pages > options_.guards.max_pages) {
-        return Status::ResourceExhausted(
-            "query exceeded page-access budget of " +
-            std::to_string(options_.guards.max_pages) + " pages");
-      }
-    }
-    if (options_.guards.max_rows > 0) {
-      const int64_t rows =
-          static_cast<int64_t>(result.records.size() + chunk_rows);
-      if (rows > options_.guards.max_rows) {
-        return Status::ResourceExhausted(
-            "query exceeded row budget of " +
-            std::to_string(options_.guards.max_rows) + " rows");
-      }
-    }
-    return Status::OK();
-  };
-
   // One serial chunk: chunk-local rows and charges merge into the running
   // totals only when the chunk completes, so a failed or parked chunk
   // leaves the prefix exactly at the last boundary.
   auto run_chunk_serial = [&](size_t i) -> Status {
     std::vector<PosRecord> rows;
     AccessStats cs;
-    ExecContext ctx;
-    ctx.catalog = &catalog_;
-    ctx.stats = &cs;
-    ctx.params = params_;
-    ctx.faults = options_.fault_injector;
-    ctx.guards = options_.guards;
-    // Rows and pages are whole-query budgets enforced by over_budget; the
-    // context keeps cancel, the shared deadline and the cache budget.
-    ctx.guards.max_rows = 0;
-    ctx.guards.max_pages = 0;
-    if (has_deadline) ctx.ArmGuardsAt(deadline);
+    // Rows and pages are whole-query budgets, enforced by the accounting
+    // step below; the context keeps cancel, the shared deadline and the
+    // cache budget.
+    ExecContext ctx = UnitContext(&cs, deadline, /*split=*/true);
 
     const bool inject = !probed && i > 0 && !blob.empty();
     PhysNodePtr node = plan.root;
-    Span emit = Span::Empty();
-    if (!probed_list) {
-      emit = Span::Of(starts[i],
-                      i + 1 < n_chunks ? starts[i + 1] - 1 : span.end);
+    DriveUnit unit;
+    unit.mode = plan.root_mode;
+    if (probed_list) {
+      const size_t begin = i * static_cast<size_t>(chunk_len);
+      const size_t len = std::min(static_cast<size_t>(chunk_len),
+                                  plan.positions.size() - begin);
+      unit.positions =
+          std::span<const Position>(plan.positions).subspan(begin, len);
+    } else {
+      unit.emit = Span::Of(starts[i],
+                           i + 1 < n_chunks ? starts[i + 1] - 1 : span.end);
     }
     if (!probed) {
-      const Position clip_lo = i == 0 ? kMinPosition : emit.start;
-      const Position clip_hi = i + 1 == n_chunks ? kMaxPosition : emit.end;
+      const Position clip_lo = i == 0 ? kMinPosition : unit.emit.start;
+      const Position clip_hi = i + 1 == n_chunks ? kMaxPosition : unit.emit.end;
       // An injected chunk suppresses carry-in subtrees (state arrives from
       // the blob); an empty blob past chunk 0 — a checkpoint written by a
       // parallel run, or a stateless tree — rebuilds via carries instead.
@@ -1842,106 +1614,19 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
       }
     }
     TelemetryReporter treport(telem, &cs);
-    Status guard_status;
-
-    if (!probed) {
-      if (options_.use_batch) {
-        RecordBatch batch(options_.batch_capacity);
-        while (root->NextBatch(&batch) > 0) {
-          if (ctx.failed()) break;
-          int64_t emitted = 0;
-          for (size_t bi = 0; bi < batch.size(); ++bi) {
-            if (batch.pos(bi) < emit.start || batch.pos(bi) > emit.end) {
-              continue;
-            }
-            rows.emplace_back();
-            PosRecord& pr = rows.back();
-            pr.pos = batch.pos(bi);
-            MoveRecordValues(pr.rec, batch.rec(bi));
-            ++emitted;
-          }
-          cs.records_output += emitted;
-          treport.Report(emitted);
-          guard_status = over_budget(&ctx, cs, rows.size());
-          if (!guard_status.ok()) break;
-        }
-      } else {
-        std::optional<PosRecord> r = root->NextAtOrAfter(emit.start);
-        while (r.has_value() && r->pos <= emit.end) {
-          if (ctx.failed()) break;
-          rows.push_back(std::move(*r));
-          ++cs.records_output;
-          treport.Report(1);
-          guard_status = over_budget(&ctx, cs, rows.size());
-          if (!guard_status.ok()) break;
-          r = root->Next();
-        }
-      }
-    } else if (options_.use_batch) {
-      RecordBatch batch(options_.batch_capacity);
-      auto probe_chunk = [&](std::span<const Position> chunk) {
-        const size_t n = root->ProbeBatch(chunk, &batch);
-        if (ctx.failed()) return false;
-        for (size_t bi = 0; bi < n; ++bi) {
-          rows.emplace_back();
-          PosRecord& pr = rows.back();
-          pr.pos = batch.pos(bi);
-          MoveRecordValues(pr.rec, batch.rec(bi));
-        }
-        cs.records_output += static_cast<int64_t>(n);
-        treport.Report(static_cast<int64_t>(n));
-        guard_status = over_budget(&ctx, cs, rows.size());
-        return guard_status.ok();
-      };
-      if (probed_list) {
-        std::span<const Position> all(plan.positions);
-        const size_t pos_begin = i * static_cast<size_t>(chunk_len);
-        const size_t pos_end =
-            std::min(all.size(), pos_begin + static_cast<size_t>(chunk_len));
-        for (size_t off = pos_begin; off < pos_end;
-             off += options_.batch_capacity) {
-          if (!probe_chunk(all.subspan(
-                  off, std::min(options_.batch_capacity, pos_end - off)))) {
-            break;
-          }
-        }
-      } else {
-        std::vector<Position> chunk;
-        chunk.reserve(options_.batch_capacity);
-        Position p = emit.start;
-        while (p <= emit.end) {
-          chunk.clear();
-          while (chunk.size() < options_.batch_capacity && p <= emit.end) {
-            chunk.push_back(p++);
-          }
-          if (!probe_chunk(chunk)) break;
-        }
-      }
-    } else {
-      auto probe_one = [&](Position p) {
-        std::optional<Record> r = root->Probe(p);
-        if (ctx.failed()) return false;
-        if (r.has_value()) {
-          rows.push_back(PosRecord{p, std::move(*r)});
-          ++cs.records_output;
-        }
-        treport.Report(r.has_value() ? 1 : 0);
-        guard_status = over_budget(&ctx, cs, rows.size());
-        return guard_status.ok();
-      };
-      if (probed_list) {
-        const size_t pos_begin = i * static_cast<size_t>(chunk_len);
-        const size_t pos_end = std::min(
-            plan.positions.size(), pos_begin + static_cast<size_t>(chunk_len));
-        for (size_t off = pos_begin; off < pos_end; ++off) {
-          if (!probe_one(plan.positions[off])) break;
-        }
-      } else {
-        for (Position p = emit.start; p <= emit.end; ++p) {
-          if (!probe_one(p)) break;
-        }
-      }
-    }
+    // Whole-query budgets against the running totals plus this chunk's
+    // charges, in the serial CheckGuards order — so a checkpointed run
+    // trips at exactly the same point, with the same status, as a plain
+    // one.
+    const Status guard_status = DriveRoot(
+        *root, ctx, options_, unit, RowOut{&rows}, [&](int64_t n) -> Status {
+          treport.Report(n);
+          SEQ_RETURN_IF_ERROR(ctx.CheckGuards(0));  // cancel + deadline
+          return options_.guards.CheckBudgets(
+              total.stream_pages + total.probe_pages + cs.stream_pages +
+                  cs.probe_pages,
+              static_cast<int64_t>(result.records.size() + rows.size()));
+        });
 
     // Save operator state BEFORE Close: the next serial chunk (and any
     // checkpoint written at the next boundary) restores from this blob.
@@ -1998,12 +1683,11 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
     extras.clip_hi = i + 1 == n_chunks ? kMaxPosition : hi;
     extras.base_rows = static_cast<int64_t>(result.records.size());
     extras.base_pages = total.stream_pages + total.probe_pages;
-    extras.has_deadline = has_deadline;
     extras.deadline = deadline;
 
     AccessStats cs;
     Result<QueryResult> r =
-        ExecuteParallelInner(plan, cmp, &cs, nullptr, &extras);
+        ExecuteMorsels(plan, cmp, &cs, nullptr, &extras);
     if (!r.ok()) return r.status();
     total.Merge(cs);
     QueryResult& qr = r.value();
@@ -2099,9 +1783,8 @@ Result<QueryResult> RunCacheFree(const Catalog& catalog, const Query& query,
   SEQ_ASSIGN_OR_RETURN(PhysicalPlan plan, optimizer.Optimize(query));
   Executor executor(catalog, options.cost_params, exec);
   if (morsels != nullptr) *morsels = executor.PlanMorsels(plan);
-  if (profile == nullptr) return executor.Execute(plan, stats);
-  Result<QueryResult> result = executor.ExecuteProfiled(plan, profile, stats);
-  profile->optimizer = optimizer.trace();
+  Result<QueryResult> result = executor.Execute(plan, stats, {}, profile);
+  if (profile != nullptr) profile->optimizer = optimizer.trace();
   return result;
 }
 

@@ -33,10 +33,13 @@ struct QueryResult {
   std::string ToString(size_t limit = 20) const;
 };
 
-/// Row consumer for streaming execution (ExecuteVisit). The record
-/// reference is only valid for the duration of the call: the batch path
-/// hands out pipeline-owned slot buffers that are overwritten by the next
-/// batch, so a sink that wants to keep a row must copy it.
+/// Row consumer for a sink run (Executor::Execute with a sink). The
+/// executor's one driving loop hands every answer row either to the
+/// materialized result (moving the values out of the batch slots) or to
+/// the sink. The record reference is only valid for the duration of the
+/// call: the batch path hands out pipeline-owned slot buffers that are
+/// overwritten by the next batch, so a sink that wants to keep a row must
+/// copy it.
 using RowSink = std::function<void(Position, const Record&)>;
 
 /// Process-wide default for ExecOptions::use_batch: true unless the
@@ -49,12 +52,6 @@ bool DefaultUseBatch();
 /// suite be re-run under morsel-parallel driving — the ThreadSanitizer CI
 /// job runs with SEQ_PARALLELISM=4 — without code changes.
 int DefaultParallelism();
-
-/// Process-wide default for ExecOptions::use_plan_cache: true unless the
-/// environment variable SEQ_PLAN_CACHE is set to "0" / "off" / "false".
-/// Lets the full suite be re-run with the parameterized plan cache
-/// disabled without code changes.
-bool DefaultUsePlanCache();
 
 /// Runtime knobs for the Start operator's driving loop.
 struct ExecOptions {
@@ -121,8 +118,10 @@ struct ExecOptions {
   /// identical either way — the cache only changes where the plan comes
   /// from. Read by the engine, not the executor; lives here with the other
   /// per-query knobs so PreparedQuery/seqsh/benches thread it the same way
-  /// as use_batch.
-  bool use_plan_cache = DefaultUsePlanCache();
+  /// as use_batch. The cache's own switch (PlanCache::set_enabled, started
+  /// off by SEQ_PLAN_CACHE=0, flipped by `.plancache on|off`) turns it off
+  /// for every query at once.
+  bool use_plan_cache = true;
   /// Owning session (docs/server.md): a nonzero id attributes this run to
   /// a client session in the query registry, `.queries` output and the
   /// telemetry exporters. 0 (the default) means "no session" — direct
@@ -162,28 +161,27 @@ class Executor {
                     ExecOptions options = ExecOptions{})
       : catalog_(catalog), params_(params), options_(options) {}
 
-  /// Evaluates a complete plan. If `stats` is non-null, all simulated
-  /// access/cache/predicate charges accumulate into it.
-  Result<QueryResult> Execute(const PhysicalPlan& plan,
-                              AccessStats* stats = nullptr) const;
-
-  /// Streaming evaluation: every answer row is handed to `sink` in
-  /// position order instead of being materialized into a QueryResult.
-  /// This is the allocation-free consumption path — under batch driving
-  /// the rows visited are the pipeline's reusable slot buffers, so a
-  /// query that aggregates or folds its answer never pays a per-row
-  /// record allocation. Same rows, same order, same AccessStats charges
-  /// as Execute in both driving modes.
-  Status ExecuteVisit(const PhysicalPlan& plan, const RowSink& sink,
-                      AccessStats* stats = nullptr) const;
-
-  /// Profiled evaluation: every operator is wrapped in an instrumented
+  /// Evaluates a complete plan: serially, or morsel-parallel when
+  /// ExecOptions::parallelism allows (PlanMorsels). If `stats` is
+  /// non-null, all simulated access/cache/predicate charges accumulate
+  /// into it.
+  ///
+  /// With `sink` set, every answer row is handed to it in position order
+  /// instead of being materialized, and the returned result carries only
+  /// the schema. This is the allocation-free consumption path — under
+  /// batch driving the rows visited are the pipeline's reusable slot
+  /// buffers. A sink run always drives serially on the calling thread,
+  /// whatever ExecOptions::parallelism says. Same rows, same order, same
+  /// AccessStats charges as a materialized run in both driving modes.
+  ///
+  /// With `profile` set, every operator is wrapped in an instrumented
   /// shim that records calls, rows, wall time and simulated-cost deltas
-  /// into `profile` (which is reset first). The unprofiled Execute path is
-  /// untouched — profiling costs nothing when not requested.
-  Result<QueryResult> ExecuteProfiled(const PhysicalPlan& plan,
-                                      QueryProfile* profile,
-                                      AccessStats* stats = nullptr) const;
+  /// into `profile` (which is reset first); an unprofiled run builds no
+  /// shims. A profiled run cannot also stream to a sink.
+  Result<QueryResult> Execute(const PhysicalPlan& plan,
+                              AccessStats* stats = nullptr,
+                              const RowSink& sink = {},
+                              QueryProfile* profile = nullptr) const;
 
   /// Operator-tree factory, exposed for tests and benchmarks that build
   /// custom plans. One table-driven pass lowers the PhysNode tree — each
@@ -209,7 +207,7 @@ class Executor {
   /// The morsel-parallelism decision for `plan` under these options:
   /// whether it runs parallel, with how many workers over which morsels,
   /// and why. Pure and deterministic — the engine calls it to record the
-  /// decision, ExecuteImpl recomputes it to act on it.
+  /// decision, Execute recomputes it to act on it.
   MorselPlan PlanMorsels(const PhysicalPlan& plan) const;
 
  private:
@@ -240,17 +238,18 @@ class Executor {
   Result<SeqOpPtr> BuildExpand(const PhysNode& node,
                                OperatorProfile* prof) const;
 
+  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
   Result<QueryResult> ExecuteImpl(const PhysicalPlan& plan,
-                                  AccessStats* stats,
+                                  AccessStats* stats, const RowSink& sink,
                                   OperatorProfile* root_profile) const;
 
-  // Morsel-parallel driving (see docs/execution.md): independent operator
-  // trees per morsel, per-morsel AccessStats merged in morsel order,
-  // shared budget accounting at batch boundaries.
-  Result<QueryResult> ExecuteParallel(const PhysicalPlan& plan,
-                                      const MorselPlan& morsels,
-                                      AccessStats* stats,
-                                      OperatorProfile* root_profile) const;
+  // The context one driven unit runs in. A serial run (`split` false)
+  // checks its row and page budgets in ExecContext::CheckGuards; a unit of
+  // a split run — a morsel or a checkpoint chunk — has them zeroed,
+  // because its accounting step checks them against whole-query totals.
+  ExecContext UnitContext(AccessStats* stats, const Deadline& deadline,
+                          bool split) const;
 
   // Overrides applied when a morsel group executes ONE CHUNK of a
   // checkpointed query rather than the whole plan: the outermost units are
@@ -264,15 +263,18 @@ class Executor {
     Position clip_hi = kMaxPosition;
     int64_t base_rows = 0;
     int64_t base_pages = 0;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
+    Deadline deadline;
   };
 
-  Result<QueryResult> ExecuteParallelInner(const PhysicalPlan& plan,
-                                           const MorselPlan& morsels,
-                                           AccessStats* stats,
-                                           OperatorProfile* root_profile,
-                                           const ChunkExtras* extras) const;
+  // Morsel-parallel driving (see docs/execution.md): independent operator
+  // trees per morsel, per-morsel AccessStats merged in morsel order,
+  // shared budget accounting at batch boundaries. `extras` is set when the
+  // group runs one chunk of a checkpointed query.
+  Result<QueryResult> ExecuteMorsels(const PhysicalPlan& plan,
+                                     const MorselPlan& morsels,
+                                     AccessStats* stats,
+                                     OperatorProfile* root_profile,
+                                     const ChunkExtras* extras) const;
 
   const Catalog& catalog_;
   CostParams params_;
@@ -286,7 +288,8 @@ class Executor {
 /// caches) disabled, so the fallback plan cannot trip the budget again,
 /// and executes it. With `profile` set the run is profiled into it and
 /// profile->optimizer receives the re-plan's trace; `morsels`, when set,
-/// receives the fallback plan's driving decision.
+/// receives the fallback plan's driving decision. Never used for a sink
+/// run: rows a sink already saw cannot be taken back.
 Result<QueryResult> RunCacheFree(const Catalog& catalog, const Query& query,
                                  OptimizerOptions options,
                                  const ExecOptions& exec, AccessStats* stats,

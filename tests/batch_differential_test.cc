@@ -140,6 +140,48 @@ void RunBoth(Engine& engine, const Query& query, const std::string& label) {
   }
 }
 
+/// A budget must trip on a sink run and on a checkpointed run exactly as
+/// on the serial materialized run `serial` made under `budget`: same
+/// ok-ness, same status. The rows the sink saw before a trip must be a
+/// prefix of the full answer `full` (all of it when nothing trips).
+void ExpectSinkAndCheckpointTripLikeSerial(Engine& engine, const Query& query,
+                                           const RunOptions& budget,
+                                           const Result<QueryResult>& serial,
+                                           const QueryResult& full,
+                                           const std::string& label) {
+  QueryResult seen;
+  RunOptions sink_opts = budget;
+  sink_opts.sink = [&seen](Position p, const Record& rec) {
+    seen.records.push_back(PosRecord{p, rec});
+  };
+  auto sres = engine.Run(query, sink_opts);
+  ASSERT_EQ(serial.ok(), sres.ok()) << label << " [sink]";
+  if (!serial.ok()) {
+    EXPECT_EQ(serial.status().ToString(), sres.status().ToString())
+        << label << " [sink]";
+  }
+  ASSERT_LE(seen.records.size(), full.records.size()) << label << " [sink]";
+  if (serial.ok()) {
+    EXPECT_EQ(seen.records.size(), full.records.size()) << label << " [sink]";
+  }
+  QueryResult prefix;
+  prefix.records.assign(full.records.begin(),
+                        full.records.begin() + seen.records.size());
+  ExpectSameRows(prefix, seen, label + " [sink prefix]");
+
+  RunOptions ck_opts = budget;
+  ck_opts.exec.checkpoint.enabled = true;
+  ck_opts.exec.checkpoint.chunk = 512;
+  auto cres = engine.Run(query, ck_opts);
+  ASSERT_EQ(serial.ok(), cres.ok()) << label << " [checkpoint]";
+  if (!serial.ok()) {
+    EXPECT_EQ(serial.status().ToString(), cres.status().ToString())
+        << label << " [checkpoint]";
+  } else {
+    ExpectSameRows(*serial, *cres, label + " [checkpoint]");
+  }
+}
+
 void RunBoth(Engine& engine, const QueryBuilder& builder,
              std::optional<Span> range, const std::string& label) {
   Query query;
@@ -413,6 +455,9 @@ TEST_F(BatchDifferentialTest, RowBudgetTripParity) {
     serial.exec.use_batch = true;
     serial.exec.guards.max_rows = budget;
     auto sres = engine_.Run(query, serial);
+    ExpectSinkAndCheckpointTripLikeSerial(
+        engine_, query, serial, sres, *full,
+        "max_rows=" + std::to_string(budget));
     for (int workers : {2, 4}) {
       RunOptions par;
       par.exec.use_batch = true;
@@ -449,6 +494,9 @@ TEST_F(BatchDifferentialTest, RowBudgetTripParityProbedRoot) {
     serial.exec.use_batch = true;
     serial.exec.guards.max_rows = budget;
     auto sres = engine_.Run(query, serial);
+    ExpectSinkAndCheckpointTripLikeSerial(
+        engine_, query, serial, sres, *full,
+        "probed max_rows=" + std::to_string(budget));
     for (int workers : {2, 4}) {
       RunOptions par;
       par.exec.use_batch = true;
@@ -551,12 +599,17 @@ TEST_F(BatchDifferentialTest, PageBudgetTripParity) {
   ASSERT_TRUE(engine_.Run(query, count_opts).ok());
   const int64_t pages = stats.stream_pages + stats.probe_pages;
   ASSERT_GT(pages, 4);
+  auto full = engine_.Run(query, count_opts);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
 
   for (int64_t budget : {pages / 2, pages, pages * 2}) {
     RunOptions serial;
     serial.exec.use_batch = true;
     serial.exec.guards.max_pages = budget;
     auto sres = engine_.Run(query, serial);
+    ExpectSinkAndCheckpointTripLikeSerial(
+        engine_, query, serial, sres, *full,
+        "max_pages=" + std::to_string(budget));
     for (int workers : {2, 4}) {
       RunOptions par;
       par.exec.use_batch = true;

@@ -342,10 +342,9 @@ TEST_F(NetTest, ConcurrentClientsSweepPreparedStatements) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // All eight Prepares after the warmup hit the cached template, unless
-  // SEQ_PLAN_CACHE=0 made every request bypass the cache; the row checks
-  // above hold either way.
-  if (!DefaultUsePlanCache()) return;
+  // All eight Prepares after the warmup hit the cached template — also
+  // under SEQ_PLAN_CACHE=0, since `plancache on` above is the cache's one
+  // switch.
   const int64_t hits_after =
       MetricsRegistry::Global().Get("engine.plan_cache.hits");
   EXPECT_GE(hits_after - hits_before, kClients);

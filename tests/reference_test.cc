@@ -54,7 +54,9 @@ Span FirstPollRange(const Catalog& catalog, const LogicalOp& graph) {
 // plans a query: Run (cache miss), Prepare → PreparedQuery::Run, a
 // plan-cache hit, the shared cache-free re-plan (a 1-byte operator-cache
 // budget degrades every plan that caches), and a StreamSession degraded
-// under the same budget.
+// under the same budget — and through each way the executor drives one:
+// a sink run, tuple driving, forced morsels and 16-position checkpoint
+// chunks.
 TEST_P(OracleTest, EngineMatchesReferenceOnRandomGraphs) {
   uint64_t seed = GetParam();
   Engine engine;
@@ -81,6 +83,31 @@ TEST_P(OracleTest, EngineMatchesReferenceOnRandomGraphs) {
     ASSERT_TRUE(oracle.ok()) << oracle.status();
     ExpectSameRecords(engine_result->records, *oracle, where);
 
+    std::vector<PosRecord> sunk;
+    RunOptions sink;
+    sink.sink = [&sunk](Position p, const Record& rec) {
+      sunk.push_back(PosRecord{p, rec});
+    };
+    auto sink_run = engine.Run({graph, range}, sink);
+    ASSERT_TRUE(sink_run.ok()) << sink_run.status() << "\n" << where;
+    ExpectSameRecords(sunk, *oracle, "sink " + where);
+
+    RunOptions tuple;
+    tuple.exec.use_batch = false;
+    RunOptions morsels;
+    morsels.exec.parallelism = 4;
+    morsels.exec.morsel_size = 16;
+    RunOptions chunked;
+    chunked.exec.checkpoint.enabled = true;
+    chunked.exec.checkpoint.chunk = 16;
+    for (const auto& [name, driver] :
+         {std::pair{"tuple ", tuple}, std::pair{"morsels ", morsels},
+          std::pair{"checkpoint chunks ", chunked}}) {
+      auto run = engine.Run({graph, range}, driver);
+      ASSERT_TRUE(run.ok()) << name << run.status() << "\n" << where;
+      ExpectSameRecords(run->records, *oracle, name + where);
+    }
+
     auto prepared = engine.Prepare({graph, range});
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     auto prepared_result = prepared->Run();
@@ -90,7 +117,7 @@ TEST_P(OracleTest, EngineMatchesReferenceOnRandomGraphs) {
     const int64_t hits_before = cache_hits.Value();
     auto hit = engine.Run({graph, range});
     ASSERT_TRUE(hit.ok()) << hit.status();
-    if (PlanCache::Global().enabled() && DefaultUsePlanCache()) {
+    if (PlanCache::Global().enabled()) {
       EXPECT_GT(cache_hits.Value(), hits_before) << where;
     }
     ExpectSameRecords(hit->records, *oracle, "cache hit " + where);

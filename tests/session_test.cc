@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/plan_cache.h"
+#include "obs/metrics.h"
 #include "obs/query_registry.h"
 #include "parser/parser.h"
 #include "workload/generators.h"
@@ -281,6 +283,32 @@ TEST(SessionTest, UnknownCommandsRejected) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// The plan cache has one switch. Starting from a disabled cache (as
+// SEQ_PLAN_CACHE=0 starts it), `plancache on` must make a repeated query
+// hit the cache — no per-request default may keep bypassing it.
+TEST(SessionTest, PlanCacheOnEnablesCachingForEveryQuery) {
+  struct RestoreCacheFlag {
+    bool was = PlanCache::Global().enabled();
+    ~RestoreCacheFlag() { PlanCache::Global().set_enabled(was); }
+  } restore;
+  PlanCache::Global().set_enabled(false);
+
+  LocalSession session;
+  ASSERT_TRUE(session.Command({"gen", "ibm", "1", "400", "1.0", "7"}).ok());
+  auto on = session.Command({"plancache", "on"});
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_EQ(*on, "plan cache on\n");
+
+  const MetricCounter& hits =
+      MetricsRegistry::Global().Counter("engine.plan_cache.hits");
+  ASSERT_TRUE(session.Execute(kQuery).ok());
+  const int64_t hits_before = hits.Value();
+  auto rerun = session.Execute("q;");
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_GT(hits.Value(), hits_before);
+  ExpectRowsEqual(RunReference(kQuery), rerun->rows);
 }
 
 TEST(SessionTest, QueriesAreAttributedToTheSession) {

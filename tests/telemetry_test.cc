@@ -269,7 +269,7 @@ TEST_F(TelemetryEngineTest, FailedRunRecordsFailureStatus) {
 
 TEST_F(TelemetryEngineTest, SinkRunIsVisibleLiveWhileExecuting) {
   // The sink runs inside execution, so it can observe the registry
-  // mid-query — the serial (ExecuteVisit) path with one worker.
+  // mid-query — a sink run always drives serially, with one worker.
   bool saw_live = false;
   LiveQueryInfo observed;
   RunOptions opts;
