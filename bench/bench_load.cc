@@ -68,7 +68,7 @@ void BM_ComputeColumnStats(benchmark::State& state) {
   const BaseSequenceStore& store = series.store();
   for (auto _ : state) {
     std::vector<ColumnStats> stats =
-        ComputeColumnStats(store.records(), *store.schema());
+        ComputeColumnStats(store.columns());
     SEQ_CHECK(stats.size() == store.schema()->num_fields());
     benchmark::DoNotOptimize(stats);
   }

@@ -90,9 +90,12 @@ class BaseScan : public SeqOp {
     if (LeafShouldStop(ctx_)) return 0;
     AccessStats* stats = ctx_->stats;
     for (Position p : positions) {
-      std::optional<Record> r = store_->Probe(p, stats);
-      if (ctx_->PollFaultRaise(FaultSite::kPageRead, "BaseScan", p)) break;
-      if (r.has_value()) MoveRecordValues(out->Append(p), *r);
+      const size_t kept = out->size();
+      store_->ProbeInto(p, stats, out);
+      if (ctx_->PollFaultRaise(FaultSite::kPageRead, "BaseScan", p)) {
+        out->Truncate(kept);  // the faulted read delivers no row
+        break;
+      }
     }
     return out->size();
   }

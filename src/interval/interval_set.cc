@@ -45,8 +45,10 @@ Span IntervalSet::Hull() const {
 Result<IntervalSet> IntervalSet::FromSequence(
     const BaseSequenceStore& store) {
   IntervalSet out(store.schema());
-  for (const PosRecord& pr : store.records()) {
-    SEQ_RETURN_IF_ERROR(out.Add(pr.pos, pr.pos, pr.rec));
+  BaseSequenceStore::StreamCursor cursor =
+      store.OpenStream(store.span(), nullptr);
+  while (std::optional<PosRecord> pr = cursor.Next()) {
+    SEQ_RETURN_IF_ERROR(out.Add(pr->pos, pr->pos, std::move(pr->rec)));
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "optimizer/annotate.h"
 #include "optimizer/rewriter.h"
@@ -85,13 +86,15 @@ Result<PhysicalPlan> Optimizer::Optimize(const Query& query) {
                                      query.position_sequence +
                                      "' must be a base sequence");
     }
-    resolved_query = query;
-    resolved_query.positions.clear();
-    for (const PosRecord& pr : entry->store->records()) {
-      if (!query.range.has_value() || query.range->Contains(pr.pos)) {
-        resolved_query.positions.push_back(pr.pos);
-      }
+    std::span<const Position> positions = entry->store->positions();
+    if (query.range.has_value()) {
+      auto first = std::lower_bound(positions.begin(), positions.end(),
+                                    query.range->start);
+      auto last = std::upper_bound(first, positions.end(), query.range->end);
+      positions = {first, last};
     }
+    resolved_query = query;
+    resolved_query.positions.assign(positions.begin(), positions.end());
     if (resolved_query.positions.empty()) {
       PhysicalPlan empty;
       empty.schema = graph->meta().schema;

@@ -17,11 +17,13 @@ Result<Table> TableFromSequence(const BaseSequenceStore& store,
   fields.push_back(Field{time_column, TypeId::kInt64});
   for (const Field& f : store.schema()->fields()) fields.push_back(f);
   Table table(Schema::Make(std::move(fields)));
-  for (const PosRecord& pr : store.records()) {
+  BaseSequenceStore::StreamCursor cursor =
+      store.OpenStream(store.span(), nullptr);
+  while (std::optional<PosRecord> pr = cursor.Next()) {
     Record row;
-    row.reserve(pr.rec.size() + 1);
-    row.push_back(Value::Int64(pr.pos));
-    row.insert(row.end(), pr.rec.begin(), pr.rec.end());
+    row.reserve(pr->rec.size() + 1);
+    row.push_back(Value::Int64(pr->pos));
+    row.insert(row.end(), pr->rec.begin(), pr->rec.end());
     SEQ_RETURN_IF_ERROR(table.Append(std::move(row)));
   }
   return table;

@@ -1,7 +1,10 @@
 #include "storage/base_sequence.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "common/logging.h"
 
@@ -14,29 +17,65 @@ BaseSequenceStore::BaseSequenceStore(SchemaPtr schema, int records_per_page,
       costs_(costs) {
   SEQ_CHECK(schema_ != nullptr);
   SEQ_CHECK_MSG(records_per_page_ > 0, "records_per_page must be positive");
+  columns_.reserve(schema_->num_fields());
+  for (const Field& f : schema_->fields()) {
+    columns_.push_back(MakeColumn(f.type));
+  }
 }
 
-Status BaseSequenceStore::Append(Position pos, Record rec) {
-  if (!records_.empty() && pos <= records_.back().pos) {
+Status BaseSequenceStore::CheckOrder(Position pos) const {
+  if (!positions_.empty() && pos <= positions_.back()) {
     return Status::InvalidArgument(
         "records must be appended in strictly increasing position order "
         "(got " +
-        std::to_string(pos) + " after " +
-        std::to_string(records_.back().pos) + ")");
+        std::to_string(pos) + " after " + std::to_string(positions_.back()) +
+        ")");
   }
+  return Status::OK();
+}
+
+void BaseSequenceStore::PushPosition(Position pos) {
+  positions_.push_back(pos);
+  if (!span_declared_) span_ = Span::Of(positions_.front(), pos);
+  stats_fresh_ = false;
+}
+
+Status BaseSequenceStore::Append(Position pos, const Record& rec) {
+  SEQ_RETURN_IF_ERROR(CheckOrder(pos));
   if (!RecordMatchesSchema(rec, *schema_)) {
     return Status::TypeError("record does not match schema " +
                              schema_->ToString());
   }
-  records_.push_back(PosRecord{pos, std::move(rec)});
-  if (!span_declared_) {
-    span_ = Span::Of(records_.front().pos, records_.back().pos);
-  } else if (!span_.Contains(pos)) {
+  if (span_declared_ && !span_.Contains(pos)) {
     return Status::OutOfRange("appended position " + std::to_string(pos) +
                               " outside declared span " + span_.ToString());
   }
-  stats_fresh_ = false;
+  for (size_t f = 0; f < columns_.size(); ++f) {
+    const Value& v = rec[f];
+    std::visit(
+        [&v](auto& values) {
+          using T = typename std::decay_t<decltype(values)>::value_type;
+          if constexpr (std::is_same_v<T, int64_t>) {
+            values.push_back(v.int64());
+          } else if constexpr (std::is_same_v<T, double>) {
+            values.push_back(v.dbl());
+          } else if constexpr (std::is_same_v<T, uint8_t>) {
+            values.push_back(v.boolean() ? 1 : 0);
+          } else {
+            values.push_back(v.str());
+          }
+        },
+        columns_[f]);
+  }
+  PushPosition(pos);
   return Status::OK();
+}
+
+void BaseSequenceStore::Reserve(size_t n) {
+  positions_.reserve(n);
+  for (Column& c : columns_) {
+    std::visit([n](auto& values) { values.reserve(n); }, c);
+  }
 }
 
 Result<std::shared_ptr<BaseSequenceStore>> BaseSequenceStore::FromRecords(
@@ -45,15 +84,15 @@ Result<std::shared_ptr<BaseSequenceStore>> BaseSequenceStore::FromRecords(
   auto store = std::make_shared<BaseSequenceStore>(std::move(schema),
                                                    records_per_page, costs);
   store->Reserve(records.size());
-  for (PosRecord& pr : records) {
-    SEQ_RETURN_IF_ERROR(store->Append(pr.pos, std::move(pr.rec)));
+  for (const PosRecord& pr : records) {
+    SEQ_RETURN_IF_ERROR(store->Append(pr.pos, pr.rec));
   }
   return store;
 }
 
 Status BaseSequenceStore::DeclareSpan(Span span) {
-  if (!records_.empty()) {
-    Span hull = Span::Of(records_.front().pos, records_.back().pos);
+  if (!positions_.empty()) {
+    Span hull = Span::Of(positions_.front(), positions_.back());
     if (span.Intersect(hull) != hull) {
       return Status::InvalidArgument("declared span " + span.ToString() +
                                      " does not cover stored records " +
@@ -66,9 +105,9 @@ Status BaseSequenceStore::DeclareSpan(Span span) {
 }
 
 double BaseSequenceStore::density() const {
-  if (span_.IsEmpty() || records_.empty()) return 0.0;
+  if (span_.IsEmpty() || positions_.empty()) return 0.0;
   if (span_.IsUnbounded()) return 0.0;
-  return static_cast<double>(records_.size()) /
+  return static_cast<double>(positions_.size()) /
          static_cast<double>(span_.Length());
 }
 
@@ -78,7 +117,7 @@ int64_t BaseSequenceStore::num_pages() const {
 
 const std::vector<ColumnStats>& BaseSequenceStore::column_stats() const {
   if (!stats_fresh_) {
-    column_stats_ = ComputeColumnStats(records_, *schema_);
+    column_stats_ = ComputeColumnStats(columns_);
     stats_fresh_ = true;
   }
   return column_stats_;
@@ -86,11 +125,29 @@ const std::vector<ColumnStats>& BaseSequenceStore::column_stats() const {
 
 size_t BaseSequenceStore::LowerBound(Position pos) const {
   return static_cast<size_t>(
-      std::lower_bound(records_.begin(), records_.end(), pos,
-                       [](const PosRecord& pr, Position p) {
-                         return pr.pos < p;
-                       }) -
-      records_.begin());
+      std::lower_bound(positions_.begin(), positions_.end(), pos) -
+      positions_.begin());
+}
+
+template <typename RowAt>
+void BaseSequenceStore::Gather(size_t first, size_t count, RowAt row) const {
+  for (size_t k = 0; k < count; ++k) row(k).resize(columns_.size());
+  for (size_t f = 0; f < columns_.size(); ++f) {
+    std::visit(
+        [&](const auto& values) {
+          for (size_t k = 0; k < count; ++k) {
+            row(k)[f] = ToValue(values[first + k]);
+          }
+        },
+        columns_[f]);
+  }
+}
+
+std::vector<PosRecord> BaseSequenceStore::records() const {
+  std::vector<PosRecord> out(positions_.size());
+  for (size_t i = 0; i < out.size(); ++i) out[i].pos = positions_[i];
+  Gather(0, out.size(), [&out](size_t k) -> Record& { return out[k].rec; });
+  return out;
 }
 
 BaseSequenceStore::StreamCursor BaseSequenceStore::OpenStream(
@@ -114,22 +171,19 @@ BaseSequenceStore::StreamCursor BaseSequenceStore::OpenStreamResumed(
   // record, so the seeded page never matches the first record's and the
   // behavior is unchanged there.
   if (cursor.index_ > 0 && cursor.index_ < cursor.end_ &&
-      records_[cursor.index_ - 1].pos >= covered_from) {
+      positions_[cursor.index_ - 1] >= covered_from) {
     const int64_t prev = static_cast<int64_t>(cursor.index_) - 1;
     cursor.last_page_ = costs_.clustered ? prev / records_per_page_ : prev;
   }
   return cursor;
 }
 
-std::optional<PosRecord> BaseSequenceStore::StreamCursor::Next() {
-  if (index_ >= end_) return std::nullopt;
-  const PosRecord& pr = store_->records_[index_];
-  // Unclustered layouts pay one page fetch per record (§3.4 fn. 8).
-  int64_t page = store_->costs_.clustered
-                     ? static_cast<int64_t>(index_) /
-                           store_->records_per_page_
-                     : static_cast<int64_t>(index_);
-  ++index_;
+size_t BaseSequenceStore::StreamCursor::Advance() {
+  const size_t index = index_++;
+  const int64_t page = store_->costs_.clustered
+                           ? static_cast<int64_t>(index) /
+                                 store_->records_per_page_
+                           : static_cast<int64_t>(index);
   if (stats_ != nullptr) {
     ++stats_->stream_records;
     if (page != last_page_) {
@@ -138,82 +192,69 @@ std::optional<PosRecord> BaseSequenceStore::StreamCursor::Next() {
     }
   }
   last_page_ = page;
+  return index;
+}
+
+std::optional<PosRecord> BaseSequenceStore::StreamCursor::Next() {
+  if (index_ >= end_) return std::nullopt;
+  const size_t index = Advance();
+  PosRecord pr{store_->positions_[index], Record{}};
+  store_->Gather(index, 1, [&pr](size_t) -> Record& { return pr.rec; });
   return pr;
 }
 
 size_t BaseSequenceStore::StreamCursor::FillBatch(RecordBatch* out) {
-  out->Clear();
-  if (stats_ == nullptr) {
-    // No accounting requested for this cursor's lifetime: skip the page
-    // bookkeeping entirely (last_page_ is only read when charging).
-    const std::vector<PosRecord>& records = store_->records_;
-    while (!out->full() && index_ < end_) {
-      const PosRecord& pr = records[index_];
-      ++index_;
-      AssignRecord(out->Append(pr.pos), pr.rec);
-    }
-    return out->size();
-  }
-  const bool clustered = store_->costs_.clustered;
-  const int64_t rpp = store_->records_per_page_;
-  while (!out->full() && index_ < end_) {
-    const PosRecord& pr = store_->records_[index_];
-    int64_t page = clustered ? static_cast<int64_t>(index_) / rpp
-                             : static_cast<int64_t>(index_);
-    ++index_;
-    ++stats_->stream_records;
-    if (page != last_page_) {
-      ++stats_->stream_pages;
-      stats_->simulated_cost += store_->costs_.page_cost;
-    }
-    last_page_ = page;
-    AssignRecord(out->Append(pr.pos), pr.rec);
-  }
-  return out->size();
+  return FillBatchUpTo(std::numeric_limits<Position>::max(), out);
 }
 
 size_t BaseSequenceStore::StreamCursor::FillBatchUpTo(Position limit,
                                                       RecordBatch* out) {
   out->Clear();
-  const bool clustered = store_->costs_.clustered;
-  const int64_t rpp = store_->records_per_page_;
+  const size_t first = index_;
   while (!out->full() && index_ < end_) {
-    const PosRecord& pr = store_->records_[index_];
-    int64_t page = clustered ? static_cast<int64_t>(index_) / rpp
-                             : static_cast<int64_t>(index_);
-    ++index_;
-    if (stats_ != nullptr) {
-      ++stats_->stream_records;
-      if (page != last_page_) {
-        ++stats_->stream_pages;
-        stats_->simulated_cost += store_->costs_.page_cost;
-      }
-    }
-    last_page_ = page;
-    AssignRecord(out->Append(pr.pos), pr.rec);
-    if (pr.pos > limit) break;  // overshoot included, then stop
+    const Position pos = store_->positions_[Advance()];
+    out->Append(pos);
+    if (pos > limit) break;  // overshoot included, then stop
   }
+  store_->Gather(first, out->size(),
+                 [out](size_t k) -> Record& { return out->rec(k); });
   return out->size();
 }
 
 std::optional<Position> BaseSequenceStore::StreamCursor::PeekPosition() const {
   if (index_ >= end_) return std::nullopt;
-  return store_->records_[index_].pos;
+  return store_->positions_[index_];
 }
 
-std::optional<Record> BaseSequenceStore::Probe(Position pos,
-                                               AccessStats* stats) const {
+std::optional<size_t> BaseSequenceStore::FindProbed(Position pos,
+                                                    AccessStats* stats) const {
   if (stats != nullptr) {
     ++stats->probes;
     ++stats->probe_pages;
     stats->simulated_cost += costs_.probe_cost;
   }
   if (!span_.Contains(pos)) return std::nullopt;
-  size_t idx = LowerBound(pos);
-  if (idx < records_.size() && records_[idx].pos == pos) {
-    return records_[idx].rec;
-  }
+  const size_t index = LowerBound(pos);
+  if (index < positions_.size() && positions_[index] == pos) return index;
   return std::nullopt;
+}
+
+std::optional<Record> BaseSequenceStore::Probe(Position pos,
+                                               AccessStats* stats) const {
+  const std::optional<size_t> index = FindProbed(pos, stats);
+  if (!index.has_value()) return std::nullopt;
+  Record rec;
+  Gather(*index, 1, [&rec](size_t) -> Record& { return rec; });
+  return rec;
+}
+
+bool BaseSequenceStore::ProbeInto(Position pos, AccessStats* stats,
+                                  RecordBatch* out) const {
+  const std::optional<size_t> index = FindProbed(pos, stats);
+  if (!index.has_value()) return false;
+  Record& slot = out->Append(pos);
+  Gather(*index, 1, [&slot](size_t) -> Record& { return slot; });
+  return true;
 }
 
 std::string BaseSequenceStore::DescribeMeta() const {

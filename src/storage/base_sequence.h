@@ -3,11 +3,13 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "storage/access_stats.h"
+#include "storage/column.h"
 #include "storage/statistics.h"
 #include "types/record.h"
 #include "types/schema.h"
@@ -32,8 +34,11 @@ struct AccessCosts {
 
 /// A materialized base sequence (paper §2: "an explicit materialized
 /// association of positions with records"). Records are stored sorted by
-/// position and grouped into fixed-capacity pages; the two access paths the
-/// paper reasons about are exposed directly:
+/// position, column-wise: one position array plus one typed array per
+/// field (see Column), so a record costs its fixed-size values and no heap
+/// block of its own. Records are grouped into fixed-capacity simulated
+/// pages by their index; the two access paths the paper reasons about are
+/// exposed directly:
 ///
 ///  * stream access — "get the next non-Null record", in position order,
 ///    charging `page_cost` per page entered;
@@ -53,13 +58,14 @@ class BaseSequenceStore {
   BaseSequenceStore(const BaseSequenceStore&) = delete;
   BaseSequenceStore& operator=(const BaseSequenceStore&) = delete;
 
-  /// Appends a record at `pos`, which must exceed the last stored position
-  /// and match the schema.
-  Status Append(Position pos, Record rec);
+  /// Appends a record at `pos`, which must exceed the last stored position,
+  /// lie inside a declared span and match the schema. A rejected record
+  /// leaves the store unchanged.
+  Status Append(Position pos, const Record& rec);
 
   /// Reserves room for `n` records, so a load of known size appends without
-  /// regrowing the record vector.
-  void Reserve(size_t n) { records_.reserve(n); }
+  /// regrowing the arrays.
+  void Reserve(size_t n);
 
   /// Builds a store from position-sorted records.
   static Result<std::shared_ptr<BaseSequenceStore>> FromRecords(
@@ -73,7 +79,9 @@ class BaseSequenceStore {
 
   const SchemaPtr& schema() const { return schema_; }
   Span span() const { return span_; }
-  int64_t num_records() const { return static_cast<int64_t>(records_.size()); }
+  int64_t num_records() const {
+    return static_cast<int64_t>(positions_.size());
+  }
 
   /// Fraction of positions in the span holding non-null records (§3).
   double density() const;
@@ -95,9 +103,9 @@ class BaseSequenceStore {
 
     /// Batch access: fills `out` with the next up-to-capacity records,
     /// charging exactly what the same sequence of Next() calls would
-    /// (one stream_record each, page costs on page boundaries). Records
-    /// are copied into the batch's reusable slots. Returns the row count;
-    /// 0 at end of range.
+    /// (one stream_record each, page costs on page boundaries). Values are
+    /// gathered from the columns into the batch's reusable slots. Returns
+    /// the row count; 0 at end of range.
     size_t FillBatch(RecordBatch* out);
 
     /// Bounded batch access with include-overshoot semantics (see
@@ -115,6 +123,11 @@ class BaseSequenceStore {
     StreamCursor(const BaseSequenceStore* store, size_t index, size_t end,
                  AccessStats* stats)
         : store_(store), index_(index), end_(end), stats_(stats) {}
+
+    // Charges streaming the record at index_ and steps past it; returns
+    // the record's index. Unclustered layouts pay one page fetch per
+    // record (§3.4 fn. 8).
+    size_t Advance();
 
     const BaseSequenceStore* store_;
     size_t index_;
@@ -139,17 +152,48 @@ class BaseSequenceStore {
   /// position is empty or outside the span.
   std::optional<Record> Probe(Position pos, AccessStats* stats) const;
 
-  /// Direct (uncharged) access for tests and result comparison.
-  const std::vector<PosRecord>& records() const { return records_; }
+  /// Probed access into a batch: charges exactly what Probe(pos, stats)
+  /// does and, on a hit, appends the record at `pos` to `out`, gathered
+  /// straight into the slot's reusable buffer. Requires !out->full().
+  /// Returns whether `pos` held a record.
+  bool ProbeInto(Position pos, AccessStats* stats, RecordBatch* out) const;
+
+  /// Stored positions, increasing (uncharged).
+  std::span<const Position> positions() const { return positions_; }
+
+  /// The typed arrays, one per schema field (uncharged).
+  const std::vector<Column>& columns() const { return columns_; }
+
+  /// Uncharged copy of every record, for tests and result comparison.
+  std::vector<PosRecord> records() const;
 
   std::string DescribeMeta() const;
 
  private:
+  // Decodes SEQ1 records straight into the columns.
+  friend Result<std::shared_ptr<BaseSequenceStore>> LoadSequence(
+      const std::string& path);
+
   // Index of the first stored record with position >= pos.
   size_t LowerBound(Position pos) const;
 
+  // InvalidArgument unless `pos` exceeds the last stored position.
+  Status CheckOrder(Position pos) const;
+
+  // Records `pos` for a row whose values the columns already hold.
+  void PushPosition(Position pos);
+
+  // Charges one probe; the index of the record at `pos`, if any.
+  std::optional<size_t> FindProbed(Position pos, AccessStats* stats) const;
+
+  // Copies the `count` records from index `first` on into row(0) ..
+  // row(count - 1), reusing each row's buffer, one column at a time.
+  template <typename RowAt>
+  void Gather(size_t first, size_t count, RowAt row) const;
+
   SchemaPtr schema_;
-  std::vector<PosRecord> records_;  // sorted by position
+  std::vector<Position> positions_;  // increasing
+  std::vector<Column> columns_;      // one per field, positions_.size() each
   Span span_ = Span::Empty();
   bool span_declared_ = false;
   int records_per_page_;

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace seq {
@@ -121,6 +123,24 @@ uint64_t MinRecordBytes(const Schema& schema) {
   return bytes;
 }
 
+// Decodes one value onto the end of its column; false if the file ends
+// first. A bool byte is stored normalized to 0 or 1.
+template <typename T>
+bool ReadValue(BufferedReader& in, std::vector<T>& values) {
+  T v{};
+  if (!in.Pod(&v)) return false;
+  if constexpr (std::is_same_v<T, uint8_t>) v = v != 0 ? 1 : 0;
+  values.push_back(v);
+  return true;
+}
+
+bool ReadValue(BufferedReader& in, std::vector<std::string>& values) {
+  std::string v;
+  if (!in.String(&v)) return false;
+  values.push_back(std::move(v));
+  return true;
+}
+
 }  // namespace
 
 Status SaveSequence(const BaseSequenceStore& store, const std::string& path) {
@@ -142,22 +162,27 @@ Status SaveSequence(const BaseSequenceStore& store, const std::string& path) {
     WritePod<uint8_t>(out, static_cast<uint8_t>(f.type));
   }
   WritePod<uint64_t>(out, static_cast<uint64_t>(store.num_records()));
-  for (const PosRecord& pr : store.records()) {
-    WritePod<int64_t>(out, pr.pos);
-    for (const Value& v : pr.rec) {
-      switch (v.type()) {
-        case TypeId::kInt64:
-          WritePod<int64_t>(out, v.int64());
-          break;
-        case TypeId::kDouble:
-          WritePod<double>(out, v.dbl());
-          break;
-        case TypeId::kBool:
-          WritePod<uint8_t>(out, v.boolean() ? 1 : 0);
-          break;
-        case TypeId::kString:
-          WriteString(out, v.str());
-          break;
+  BaseSequenceStore::StreamCursor cursor =
+      store.OpenStream(store.span(), nullptr);
+  RecordBatch batch;
+  while (cursor.FillBatch(&batch) > 0) {
+    for (size_t r = 0; r < batch.size(); ++r) {
+      WritePod<int64_t>(out, batch.pos(r));
+      for (const Value& v : batch.rec(r)) {
+        switch (v.type()) {
+          case TypeId::kInt64:
+            WritePod<int64_t>(out, v.int64());
+            break;
+          case TypeId::kDouble:
+            WritePod<double>(out, v.dbl());
+            break;
+          case TypeId::kBool:
+            WritePod<uint8_t>(out, v.boolean() ? 1 : 0);
+            break;
+          case TypeId::kString:
+            WriteString(out, v.str());
+            break;
+        }
       }
     }
   }
@@ -237,41 +262,14 @@ Result<BaseSequencePtr> LoadSequence(const std::string& path) {
     if (!in.Pod(&pos)) {
       return Status::DataLoss("'" + path + "': truncated records");
     }
-    Record rec;
-    rec.reserve(schema->num_fields());
-    for (const Field& f : schema->fields()) {
-      bool ok = false;
-      switch (f.type) {
-        case TypeId::kInt64: {
-          int64_t v = 0;
-          ok = in.Pod(&v);
-          rec.push_back(Value::Int64(v));
-          break;
-        }
-        case TypeId::kDouble: {
-          double v = 0;
-          ok = in.Pod(&v);
-          rec.push_back(Value::Double(v));
-          break;
-        }
-        case TypeId::kBool: {
-          uint8_t v = 0;
-          ok = in.Pod(&v);
-          rec.push_back(Value::Bool(v != 0));
-          break;
-        }
-        case TypeId::kString: {
-          std::string v;
-          ok = in.String(&v);
-          rec.push_back(Value::String(std::move(v)));
-          break;
-        }
-      }
-      if (!ok) {
+    for (Column& column : store->columns_) {
+      if (!std::visit([&in](auto& values) { return ReadValue(in, values); },
+                      column)) {
         return Status::DataLoss("'" + path + "': truncated value");
       }
     }
-    SEQ_RETURN_IF_ERROR(store->Append(pos, std::move(rec)));
+    SEQ_RETURN_IF_ERROR(store->CheckOrder(pos));
+    store->PushPosition(pos);
   }
   if (!Span::Of(span_start, span_end).IsEmpty()) {
     SEQ_RETURN_IF_ERROR(store->DeclareSpan(Span::Of(span_start, span_end)));

@@ -21,8 +21,10 @@ namespace seq {
 ///
 /// Readers validate the magic, type tags, string lengths and record count
 /// and fail with InvalidArgument or DataLoss on malformed or truncated input
-/// rather than crashing. A load reads the file through a fixed-size buffer,
-/// so its memory beyond the loaded store does not grow with the file.
+/// rather than crashing. A load reads the file through a fixed-size buffer
+/// and decodes each value straight onto its column of the store, so its
+/// memory beyond the loaded store does not grow with the file. A save
+/// writes the same row layout, so load then save reproduces the file.
 
 Status SaveSequence(const BaseSequenceStore& store, const std::string& path);
 

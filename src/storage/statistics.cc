@@ -1,7 +1,10 @@
 #include "storage/statistics.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/string_util.h"
@@ -68,10 +71,46 @@ class HashSet {
   bool has_zero_ = false;
 };
 
-// IsNumeric(v.type()), inlined: both passes test every value, and the
-// out-of-line call costs about a fifth of the statistics time.
-bool IsNumericValue(const Value& v) {
-  return v.type() == TypeId::kInt64 || v.type() == TypeId::kDouble;
+// Value::Hash of each stored type: numeric values hash as doubles, so an
+// int64 and a double that compare equal hash equal.
+size_t HashOf(int64_t v) { return std::hash<double>()(static_cast<double>(v)); }
+size_t HashOf(double v) { return std::hash<double>()(v); }
+size_t HashOf(uint8_t v) { return std::hash<bool>()(v != 0); }
+size_t HashOf(const std::string& v) { return std::hash<std::string>()(v); }
+
+// Statistics of one column in two passes over its array: one for the
+// distinct hashes and the numeric range, one for the numeric histogram.
+template <typename T>
+ColumnStats StatsOf(const std::vector<T>& values) {
+  ColumnStats cs;
+  cs.count = static_cast<int64_t>(values.size());
+  HashSet distinct(std::min(values.size(), kDistinctCap));
+  for (const T& v : values) {
+    if (distinct.size() >= kDistinctCap) break;
+    distinct.Insert(HashOf(v));
+  }
+  cs.distinct = static_cast<int64_t>(distinct.size());
+  if constexpr (std::is_same_v<T, int64_t> || std::is_same_v<T, double>) {
+    if (values.empty()) return cs;
+    double lo = static_cast<double>(values[0]);
+    double hi = lo;
+    for (const T& v : values) {
+      const double d = static_cast<double>(v);
+      if (d < lo) lo = d;
+      if (d > hi) hi = d;
+    }
+    cs.min = lo;
+    cs.max = hi;
+    if (hi <= lo) return cs;
+    cs.bucket_counts.assign(ColumnStats::kHistogramBuckets, 0);
+    const double width = (hi - lo) / ColumnStats::kHistogramBuckets;
+    for (const T& v : values) {
+      int b = static_cast<int>((static_cast<double>(v) - lo) / width);
+      b = std::clamp(b, 0, ColumnStats::kHistogramBuckets - 1);
+      ++cs.bucket_counts[static_cast<size_t>(b)];
+    }
+  }
+  return cs;
 }
 
 }  // namespace
@@ -112,68 +151,12 @@ std::string ColumnStats::ToString() const {
 }
 
 std::vector<ColumnStats> ComputeColumnStats(
-    const std::vector<PosRecord>& records, const Schema& schema) {
-  const size_t width = schema.num_fields();
-  std::vector<ColumnStats> stats(width);
-  // Pass 1: count, numeric range and distinct hashes of every column.
-  struct Range {
-    bool seen = false;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  std::vector<Range> ranges(width);
-  std::vector<HashSet> distinct(
-      width, HashSet(std::min(records.size(), kDistinctCap)));
-  for (const PosRecord& pr : records) {
-    const size_t n = std::min(width, pr.rec.size());
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = pr.rec[i];
-      ++stats[i].count;
-      if (IsNumericValue(v)) {
-        const double d = v.AsDouble();
-        Range& r = ranges[i];
-        if (!r.seen) {
-          r = Range{true, d, d};
-        } else {
-          if (d < r.min) r.min = d;
-          if (d > r.max) r.max = d;
-        }
-      }
-      if (distinct[i].size() < kDistinctCap) distinct[i].Insert(v.Hash());
-    }
-  }
-  // Pass 2: equi-width histograms of every numeric column with a range.
-  struct Histogram {
-    size_t column;
-    double min;
-    double width;
-    int64_t* buckets;
-  };
-  std::vector<Histogram> histograms;
-  for (size_t i = 0; i < width; ++i) {
-    ColumnStats& cs = stats[i];
-    cs.distinct = static_cast<int64_t>(distinct[i].size());
-    const Range& r = ranges[i];
-    if (!r.seen) continue;
-    cs.min = r.min;
-    cs.max = r.max;
-    if (r.max <= r.min) continue;
-    cs.bucket_counts.assign(ColumnStats::kHistogramBuckets, 0);
-    histograms.push_back(Histogram{
-        i, r.min, (r.max - r.min) / ColumnStats::kHistogramBuckets,
-        cs.bucket_counts.data()});
-  }
-  if (histograms.empty()) return stats;
-  for (const PosRecord& pr : records) {
-    for (const Histogram& h : histograms) {
-      if (h.column >= pr.rec.size()) continue;
-      const Value& v = pr.rec[h.column];
-      if (!IsNumericValue(v)) continue;
-      const double d = v.AsDouble();
-      int b = static_cast<int>((d - h.min) / h.width);
-      b = std::clamp(b, 0, ColumnStats::kHistogramBuckets - 1);
-      ++h.buckets[b];
-    }
+    const std::vector<Column>& columns) {
+  std::vector<ColumnStats> stats;
+  stats.reserve(columns.size());
+  for (const Column& c : columns) {
+    stats.push_back(std::visit(
+        [](const auto& values) { return StatsOf(values); }, c));
   }
   return stats;
 }

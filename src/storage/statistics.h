@@ -6,8 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "types/record.h"
-#include "types/schema.h"
+#include "storage/column.h"
 
 namespace seq {
 
@@ -39,9 +38,9 @@ struct ColumnStats {
   std::string ToString() const;
 };
 
-/// Computes column statistics for all fields over `records`.
-std::vector<ColumnStats> ComputeColumnStats(
-    const std::vector<PosRecord>& records, const Schema& schema);
+/// Computes the statistics of every column, in column order. Values hash
+/// as Value::Hash hashes them, so distinct counts match a row-wise count.
+std::vector<ColumnStats> ComputeColumnStats(const std::vector<Column>& columns);
 
 }  // namespace seq
 

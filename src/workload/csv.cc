@@ -204,9 +204,11 @@ std::string SequenceToCsv(const BaseSequenceStore& store, char delimiter) {
     out << delimiter << f.name;
   }
   out << "\n";
-  for (const PosRecord& pr : store.records()) {
-    out << pr.pos;
-    for (const Value& v : pr.rec) {
+  BaseSequenceStore::StreamCursor cursor =
+      store.OpenStream(store.span(), nullptr);
+  while (std::optional<PosRecord> pr = cursor.Next()) {
+    out << pr->pos;
+    for (const Value& v : pr->rec) {
       out << delimiter;
       if (v.type() == TypeId::kString) {
         out << v.str();  // no quoting: simple values only

@@ -20,7 +20,7 @@ TEST(CsvTest, ParsesTypedColumns) {
             "<close:double, volume:int64, hot:bool, tag:string>");
   EXPECT_EQ((*store)->num_records(), 3);
   EXPECT_EQ((*store)->span(), Span::Of(1, 4));
-  const PosRecord& pr = (*store)->records()[2];
+  const PosRecord pr = (*store)->records()[2];
   EXPECT_EQ(pr.pos, 4);
   EXPECT_DOUBLE_EQ(pr.rec[0].dbl(), 9.25);
   EXPECT_EQ(pr.rec[1].int64(), 50);

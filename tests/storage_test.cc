@@ -1,15 +1,19 @@
-// Unit tests for the storage module: the paged base-sequence store, both
-// access paths, access accounting, and column statistics.
+// Unit tests for the storage module: the paged columnar base-sequence
+// store, both access paths, access accounting, and column statistics.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <unordered_set>
 
 #include "storage/base_sequence.h"
+#include "storage/file_format.h"
 
 namespace seq {
 namespace {
@@ -403,6 +407,320 @@ TEST(ColumnStatsTest, RefreshAfterAppendMatchesNaive) {
     }
     ExpectStatsMatchNaive(store);
   }
+}
+
+TEST(StorageTest, RejectedAppendLeavesStoreUnchanged) {
+  BaseSequenceStore store(OneCol(), 4);
+  ASSERT_TRUE(store.DeclareSpan(Span::Of(1, 10)).ok());
+  ASSERT_TRUE(store.Append(1, Row(10)).ok());
+  EXPECT_EQ(store.column_stats()[0].count, 1);
+
+  // Outside the declared span, out of order, and off the schema: each is
+  // refused without storing anything or staling the statistics.
+  EXPECT_EQ(store.Append(20, Row(20)).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(store.Append(1, Row(11)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.Append(2, Record{Value::Double(2.0)}).code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(store.num_records(), 1);
+  EXPECT_EQ(store.column_stats()[0].count, 1);
+  EXPECT_EQ(store.span(), Span::Of(1, 10));
+
+  // Later in-span appends are accepted in order.
+  ASSERT_TRUE(store.Append(5, Row(50)).ok());
+  ASSERT_EQ(store.num_records(), 2);
+  EXPECT_EQ(store.column_stats()[0].count, 2);
+  EXPECT_EQ(store.records()[1].pos, 5);
+  EXPECT_EQ(store.records()[1].rec[0].int64(), 50);
+  EXPECT_EQ(store.Append(5, Row(51)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.num_records(), 2);
+}
+
+// Values and types of two rows, doubles compared as bit patterns (so -0.0
+// and 0.0 differ).
+void ExpectSameRow(const PosRecord& got, const PosRecord& want) {
+  ASSERT_EQ(got.pos, want.pos);
+  ASSERT_EQ(got.rec.size(), want.rec.size());
+  for (size_t i = 0; i < want.rec.size(); ++i) {
+    const Value& g = got.rec[i];
+    const Value& w = want.rec[i];
+    ASSERT_EQ(g.type(), w.type()) << "pos " << want.pos << " field " << i;
+    switch (w.type()) {
+      case TypeId::kInt64:
+        EXPECT_EQ(g.int64(), w.int64());
+        break;
+      case TypeId::kDouble:
+        EXPECT_EQ(std::bit_cast<uint64_t>(g.dbl()),
+                  std::bit_cast<uint64_t>(w.dbl()))
+            << "pos " << want.pos << " field " << i;
+        break;
+      case TypeId::kBool:
+        EXPECT_EQ(g.boolean(), w.boolean());
+        break;
+      case TypeId::kString:
+        EXPECT_TRUE(g.str() == w.str()) << "pos " << want.pos;
+        break;
+    }
+  }
+}
+
+void ExpectSameRows(const std::vector<PosRecord>& got,
+                    const std::vector<PosRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) ExpectSameRow(got[i], want[i]);
+}
+
+void ExpectSameStats(const AccessStats& got, const AccessStats& want) {
+  EXPECT_EQ(got.stream_records, want.stream_records);
+  EXPECT_EQ(got.stream_pages, want.stream_pages);
+  EXPECT_EQ(got.probes, want.probes);
+  EXPECT_EQ(got.probe_pages, want.probe_pages);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.simulated_cost),
+            std::bit_cast<uint64_t>(want.simulated_cost));
+}
+
+// The row-wise model the columnar store must reproduce: records in a plain
+// vector, walked one at a time with the paper's page rule (a page fetch
+// whenever the record's page differs from the last one fetched; every
+// record its own page when unclustered).
+struct RowReference {
+  std::vector<PosRecord> rows;
+  Span span;
+  int records_per_page;
+  AccessCosts costs;
+
+  // Rows in `range` from index `from` on, charged into `stats` starting
+  // from `last_page`, up to `max_rows` rows or the first row past `limit`
+  // (included).
+  std::vector<PosRecord> Stream(Span range, size_t* from, int64_t* last_page,
+                                AccessStats* stats, size_t max_rows,
+                                Position limit = kMaxPosition) const {
+    std::vector<PosRecord> out;
+    const Span effective = range.Intersect(span);
+    while (out.size() < max_rows && *from < rows.size()) {
+      const PosRecord& pr = rows[*from];
+      if (effective.IsEmpty() || pr.pos > effective.end) break;
+      const int64_t index = static_cast<int64_t>((*from)++);
+      if (pr.pos < effective.start) continue;
+      const int64_t page =
+          costs.clustered ? index / records_per_page : index;
+      ++stats->stream_records;
+      if (page != *last_page) {
+        ++stats->stream_pages;
+        stats->simulated_cost += costs.page_cost;
+      }
+      *last_page = page;
+      out.push_back(pr);
+      if (pr.pos > limit) break;
+    }
+    return out;
+  }
+
+  std::optional<Record> Probe(Position p, AccessStats* stats) const {
+    ++stats->probes;
+    ++stats->probe_pages;
+    stats->simulated_cost += costs.probe_cost;
+    if (!span.Contains(p)) return std::nullopt;
+    for (const PosRecord& pr : rows) {
+      if (pr.pos == p) return pr.rec;
+    }
+    return std::nullopt;
+  }
+};
+
+SchemaPtr EveryTypeSchema() {
+  return Schema::Make({Field{"i", TypeId::kInt64},
+                       Field{"d", TypeId::kDouble},
+                       Field{"b", TypeId::kBool},
+                       Field{"s", TypeId::kString},
+                       Field{"z", TypeId::kDouble}});
+}
+
+// A row of every type: extreme and ordinary ints, doubles including both
+// zeros and extreme magnitudes, bools, and strings that are empty, short,
+// or (when `huge`) 2^20 bytes, the longest a SEQ1 file admits.
+Record EveryTypeRow(std::mt19937_64& rng, bool huge) {
+  std::uniform_int_distribution<int> pick(0, 9);
+  std::uniform_int_distribution<int64_t> any_int(INT64_MIN, INT64_MAX);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  const int i = pick(rng);
+  const int d = pick(rng);
+  const int s = pick(rng);
+  std::string text = s < 3 ? "" : "v" + std::to_string(pick(rng));
+  if (huge) text.assign(size_t{1} << 20, 'x');
+  return Record{
+      Value::Int64(i == 0 ? INT64_MIN : i == 1 ? INT64_MAX : any_int(rng)),
+      Value::Double(d < 2 ? 0.0 : d < 4 ? -0.0 : d == 4 ? -1e300
+                                                        : unit(rng) * 1e6),
+      Value::Bool(pick(rng) < 5), Value::String(std::move(text)),
+      Value::Double(pick(rng) < 5 ? -0.0 : 0.0)};
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(StorageTest, ColumnarStoreMatchesRowReference) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "seq_test_columnar").string();
+  std::filesystem::create_directories(dir);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (bool clustered : {true, false}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (clustered ? " clustered" : " unclustered"));
+      std::mt19937_64 rng(seed);
+      AccessCosts costs;
+      costs.page_cost = 1.0 + 0.1 * static_cast<double>(seed);
+      costs.probe_cost = 3.3;
+      costs.clustered = clustered;
+      const int rpp = 1 + static_cast<int>(seed % 5) * 3;
+      RowReference ref{{}, Span::Of(-50, 600), rpp, costs};
+      auto store =
+          std::make_shared<BaseSequenceStore>(EveryTypeSchema(), rpp, costs);
+      ASSERT_TRUE(store->DeclareSpan(ref.span).ok());
+      std::bernoulli_distribution present(0.6);
+      for (Position p = -40; p <= 560; ++p) {
+        if (!present(rng)) continue;
+        Record rec = EveryTypeRow(rng, ref.rows.size() == 17);
+        ASSERT_TRUE(store->Append(p, rec).ok());
+        ref.rows.push_back(PosRecord{p, std::move(rec)});
+      }
+      ASSERT_EQ(store->num_records(), static_cast<int64_t>(ref.rows.size()));
+      ExpectSameRows(store->records(), ref.rows);
+
+      const std::vector<Span> ranges = {store->span(), Span::Of(-45, 30),
+                                        Span::Of(100, 101), Span::Of(7, 7),
+                                        Span::Of(500, 900), Span::Empty()};
+      for (const Span& range : ranges) {
+        SCOPED_TRACE("range " + range.ToString());
+        // Tuple-at-a-time.
+        AccessStats want_stats;
+        size_t from = 0;
+        int64_t last_page = -1;
+        const std::vector<PosRecord> want = ref.Stream(
+            range, &from, &last_page, &want_stats, ref.rows.size());
+        AccessStats got_stats;
+        auto cursor = store->OpenStream(range, &got_stats);
+        std::vector<PosRecord> got;
+        while (std::optional<PosRecord> r = cursor.Next()) got.push_back(*r);
+        ExpectSameRows(got, want);
+        ExpectSameStats(got_stats, want_stats);
+
+        // Batches of a few capacities, reusing one batch's slots.
+        for (size_t capacity : {size_t{1}, size_t{7}, size_t{1024}}) {
+          RecordBatch batch(capacity);
+          AccessStats batch_stats;
+          auto bc = store->OpenStream(range, &batch_stats);
+          std::vector<PosRecord> rows;
+          while (bc.FillBatch(&batch) > 0) {
+            for (size_t r = 0; r < batch.size(); ++r) {
+              rows.push_back(PosRecord{batch.pos(r), batch.rec(r)});
+            }
+          }
+          ExpectSameRows(rows, want);
+          ExpectSameStats(batch_stats, want_stats);
+        }
+
+        // Bounded batches: each call stops after the first row past its
+        // limit, which it includes.
+        for (Position step : {Position{1}, Position{13}, Position{400}}) {
+          RecordBatch batch(16);
+          AccessStats got_up_to;
+          AccessStats want_up_to;
+          size_t ref_from = 0;
+          int64_t ref_last = -1;
+          auto bc = store->OpenStream(range, &got_up_to);
+          Position limit = range.start;
+          for (int call = 0; call < 200; ++call, limit += step) {
+            const std::vector<PosRecord> want_rows = ref.Stream(
+                range, &ref_from, &ref_last, &want_up_to, 16, limit);
+            bc.FillBatchUpTo(limit, &batch);
+            std::vector<PosRecord> rows;
+            for (size_t r = 0; r < batch.size(); ++r) {
+              rows.push_back(PosRecord{batch.pos(r), batch.rec(r)});
+            }
+            ExpectSameRows(rows, want_rows);
+            if (want_rows.empty()) break;
+          }
+          ExpectSameStats(got_up_to, want_up_to);
+        }
+      }
+
+      // Resumed tilings of the span: rows and total charges equal one
+      // serial scan of the whole tile.
+      for (int tiles : {2, 5, 31}) {
+        const Span whole = Span::Of(-60, 620);
+        AccessStats want_stats;
+        size_t from = 0;
+        int64_t last_page = -1;
+        const std::vector<PosRecord> want = ref.Stream(
+            whole, &from, &last_page, &want_stats, ref.rows.size());
+        AccessStats got_stats;
+        std::vector<PosRecord> got;
+        const int64_t width = whole.Length() / tiles + 1;
+        for (Position start = whole.start; start <= whole.end;
+             start += width) {
+          const Span tile =
+              Span::Of(start, std::min(whole.end, start + width - 1));
+          auto tc = store->OpenStreamResumed(tile, whole.start, &got_stats);
+          while (std::optional<PosRecord> r = tc.Next()) got.push_back(*r);
+        }
+        ExpectSameRows(got, want);
+        ExpectSameStats(got_stats, want_stats);
+      }
+
+      // Probes: every stored position, empty positions inside the span,
+      // and positions outside it; tuple and batch forms.
+      std::vector<Position> probes;
+      for (Position p = -70; p <= 620; p += 3) probes.push_back(p);
+      AccessStats want_probe;
+      AccessStats got_probe;
+      AccessStats got_into;
+      RecordBatch slots(probes.size());
+      for (Position p : probes) {
+        SCOPED_TRACE("probe " + std::to_string(p));
+        const std::optional<Record> want_rec = ref.Probe(p, &want_probe);
+        const std::optional<Record> got_rec = store->Probe(p, &got_probe);
+        ASSERT_EQ(got_rec.has_value(), want_rec.has_value());
+        const size_t before = slots.size();
+        EXPECT_EQ(store->ProbeInto(p, &got_into, &slots),
+                  want_rec.has_value());
+        if (want_rec.has_value()) {
+          ExpectSameRow(PosRecord{p, *got_rec}, PosRecord{p, *want_rec});
+          ASSERT_EQ(slots.size(), before + 1);
+          ExpectSameRow(PosRecord{slots.pos(before), slots.rec(before)},
+                        PosRecord{p, *want_rec});
+        } else {
+          EXPECT_EQ(slots.size(), before);
+        }
+      }
+      ExpectSameStats(got_probe, want_probe);
+      ExpectSameStats(got_into, want_probe);
+
+      // Save, load, save: the two files are byte-identical and the loaded
+      // store holds the same rows, span, layout and statistics.
+      const std::string first = dir + "/first.seq1";
+      const std::string second = dir + "/second.seq1";
+      ASSERT_TRUE(SaveSequence(*store, first).ok());
+      auto loaded = LoadSequence(first);
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ((*loaded)->span(), store->span());
+      EXPECT_EQ((*loaded)->records_per_page(), rpp);
+      EXPECT_EQ((*loaded)->costs().clustered, clustered);
+      ExpectSameRows((*loaded)->records(), ref.rows);
+      ASSERT_TRUE(SaveSequence(**loaded, second).ok());
+      EXPECT_TRUE(ReadBytes(first) == ReadBytes(second));
+      const std::vector<ColumnStats>& a = store->column_stats();
+      const std::vector<ColumnStats>& b = (*loaded)->column_stats();
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].ToString(), b[i].ToString());
+        EXPECT_EQ(a[i].bucket_counts, b[i].bucket_counts);
+      }
+      ExpectStatsMatchNaive(**loaded);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
