@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "catalog/catalog.h"
+#include "common/allocator.h"
 #include "common/result.h"
 #include "core/plan_cache.h"
 #include "core/views.h"
@@ -66,7 +67,9 @@ struct RunOptions {
 class Engine {
  public:
   explicit Engine(OptimizerOptions options = {})
-      : options_(std::move(options)) {}
+      : options_(std::move(options)) {
+    ConfigureAllocator();
+  }
 
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }

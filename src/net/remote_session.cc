@@ -8,6 +8,8 @@
 
 #include <cstring>
 
+#include "common/allocator.h"
+
 namespace seq {
 
 namespace {
@@ -24,6 +26,7 @@ void AppendRange(const std::optional<Span>& range, WireWriter* w) {
 
 Result<std::unique_ptr<RemoteSession>> RemoteSession::Connect(
     const std::string& host, int port) {
+  ConfigureAllocator();
   const std::string dial = (host.empty() || host == "localhost")
                                ? std::string("127.0.0.1")
                                : host;
