@@ -56,8 +56,7 @@ Result<std::unique_ptr<RemoteSession>> RemoteSession::Connect(
   WireWriter hello;
   hello.U32(kWireProtocolVersion);
   hello.Str("seqsh");
-  Result<ExecuteReply> reply =
-      session->RoundTrip(Opcode::kHello, hello.Take());
+  Result<ExecuteReply> reply = session->RoundTrip(Opcode::kHello, hello);
   if (!reply.ok()) return reply.status();
   return session;
 }
@@ -73,33 +72,36 @@ void RemoteSession::Close() {
   // shutdown below unblocks it and the server treats the drop as a
   // disconnect, cancelling the query server-side.
   if (mu_.try_lock()) {
-    WriteFrame(fd_, BuildFrame(next_request_++, Opcode::kGoodbye, ""));
+    WireWriter goodbye(next_request_++, Opcode::kGoodbye);
+    WriteFrame(fd_, &goodbye);
     mu_.unlock();
   }
   ::shutdown(fd_, SHUT_RDWR);
 }
 
-std::string RemoteSession::OptionsBlob() const {
-  WireWriter w;
-  EncodeRunOptions(CaptureWireRunOptions(options_, collect_stats_), &w);
-  return w.Take();
+void RemoteSession::AppendOptions(WireWriter* w) const {
+  EncodeRunOptions(CaptureWireRunOptions(options_, collect_stats_), w);
 }
 
-Result<ExecuteReply> RemoteSession::RoundTrip(Opcode opcode, std::string body,
+Result<ExecuteReply> RemoteSession::RoundTrip(Opcode opcode,
+                                              const WireWriter& body,
                                               uint64_t* value) {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_.load(std::memory_order_acquire)) {
     return Status::Cancelled("session " + std::to_string(id_) + " is closed");
   }
   const uint64_t rid = next_request_++;
-  Status sent = WriteFrame(fd_, BuildFrame(rid, opcode, std::move(body)));
+  WireWriter request(rid, opcode);
+  request.Bytes(body.data(), body.size());
+  Status sent = WriteFrame(fd_, &request);
   if (!sent.ok()) {
     closed_.store(true, std::memory_order_release);
     return sent;
   }
   ExecuteReply reply;
+  Frame frame;
+  PosRecord sink_row;  // reused: a sink run allocates nothing per row
   for (;;) {
-    Frame frame;
     bool clean_eof = false;
     Status s = ReadFrame(fd_, &frame, &clean_eof);
     if (!s.ok()) {
@@ -135,12 +137,11 @@ Result<ExecuteReply> RemoteSession::RoundTrip(Opcode opcode, std::string body,
         uint32_t n = 0;
         SEQ_RETURN_IF_ERROR(c.U32(&n));
         for (uint32_t i = 0; i < n; ++i) {
-          PosRecord row;
-          SEQ_RETURN_IF_ERROR(DecodeRow(&c, &row));
           if (options_.sink) {
-            options_.sink(row.pos, row.rec);
+            SEQ_RETURN_IF_ERROR(DecodeRow(&c, &sink_row));
+            options_.sink(sink_row.pos, sink_row.rec);
           } else {
-            reply.rows.push_back(std::move(row));
+            SEQ_RETURN_IF_ERROR(DecodeRow(&c, &reply.rows.emplace_back()));
           }
         }
         break;
@@ -164,52 +165,53 @@ Result<ExecuteReply> RemoteSession::RoundTrip(Opcode opcode, std::string body,
 
 Result<ExecuteReply> RemoteSession::Execute(const std::string& source) {
   WireWriter w;
-  std::string body = OptionsBlob();
+  AppendOptions(&w);
   AppendRange(range_, &w);
   w.Str(source);
-  return RoundTrip(Opcode::kQuery, body + w.Take());
+  return RoundTrip(Opcode::kQuery, w);
 }
 
 Result<uint64_t> RemoteSession::Prepare(const std::string& source) {
   WireWriter w;
-  std::string body = OptionsBlob();
+  AppendOptions(&w);
   AppendRange(range_, &w);
   w.Str(source);
   uint64_t statement_id = 0;
-  Result<ExecuteReply> reply =
-      RoundTrip(Opcode::kPrepare, body + w.Take(), &statement_id);
+  Result<ExecuteReply> reply = RoundTrip(Opcode::kPrepare, w, &statement_id);
   if (!reply.ok()) return reply.status();
   return statement_id;
 }
 
 Result<ExecuteReply> RemoteSession::ExecutePrepared(uint64_t statement_id) {
   WireWriter w;
+  AppendOptions(&w);
   w.U64(statement_id);
-  return RoundTrip(Opcode::kExecutePrepared, OptionsBlob() + w.Take());
+  return RoundTrip(Opcode::kExecutePrepared, w);
 }
 
 Status RemoteSession::CloseStatement(uint64_t statement_id) {
   WireWriter w;
   w.U64(statement_id);
-  return RoundTrip(Opcode::kCloseStatement, w.Take()).status();
+  return RoundTrip(Opcode::kCloseStatement, w).status();
 }
 
 Status RemoteSession::Suspend(uint64_t query_id) {
   WireWriter w;
   w.U64(query_id);
-  return RoundTrip(Opcode::kSuspend, w.Take()).status();
+  return RoundTrip(Opcode::kSuspend, w).status();
 }
 
 Result<ExecuteReply> RemoteSession::Resume(const std::string& checkpoint_path) {
   WireWriter w;
+  AppendOptions(&w);
   w.Str(checkpoint_path);
-  return RoundTrip(Opcode::kResume, OptionsBlob() + w.Take());
+  return RoundTrip(Opcode::kResume, w);
 }
 
 Result<std::string> RemoteSession::Telemetry(const std::string& kind) {
   WireWriter w;
   w.Str(kind);
-  Result<ExecuteReply> reply = RoundTrip(Opcode::kTelemetry, w.Take());
+  Result<ExecuteReply> reply = RoundTrip(Opcode::kTelemetry, w);
   if (!reply.ok()) return reply.status();
   return reply->text;
 }
@@ -219,7 +221,7 @@ Result<std::string> RemoteSession::Command(
   WireWriter w;
   w.U32(static_cast<uint32_t>(args.size()));
   for (const std::string& arg : args) w.Str(arg);
-  Result<ExecuteReply> reply = RoundTrip(Opcode::kCommand, w.Take());
+  Result<ExecuteReply> reply = RoundTrip(Opcode::kCommand, w);
   if (!reply.ok()) return reply.status();
   return reply->text;
 }

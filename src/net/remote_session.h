@@ -48,11 +48,11 @@ class RemoteSession : public Session {
 
   /// Sends one request and consumes reply frames until DONE. `value`
   /// receives the DONE value field (statement id / row count).
-  Result<ExecuteReply> RoundTrip(Opcode opcode, std::string body,
+  Result<ExecuteReply> RoundTrip(Opcode opcode, const WireWriter& body,
                                  uint64_t* value = nullptr);
-  /// The session options + stats toggle blob prefixed to query-bearing
-  /// requests.
-  std::string OptionsBlob() const;
+  /// Appends the session options + stats toggle blob that prefixes
+  /// query-bearing requests.
+  void AppendOptions(WireWriter* w) const;
 
   int fd_ = -1;
   uint64_t next_request_ = 1;

@@ -19,6 +19,36 @@ namespace seq {
 
 namespace {
 
+/// The net.* metrics, resolved once so that no frame takes the registry
+/// mutex or looks a name up.
+struct NetMetrics {
+  MetricCounter& connections;
+  MetricCounter& disconnects;
+  MetricCounter& requests;
+  MetricCounter& protocol_errors;
+  MetricCounter& frames_in;
+  MetricCounter& bytes_in;
+  MetricCounter& bytes_out;
+  MetricCounter& rows_streamed;
+  Histogram& request_us;
+
+  static NetMetrics& Get() {
+    static NetMetrics metrics = [] {
+      MetricsRegistry& r = MetricsRegistry::Global();
+      return NetMetrics{r.Counter("net.connections"),
+                        r.Counter("net.disconnects"),
+                        r.Counter("net.requests"),
+                        r.Counter("net.protocol_errors"),
+                        r.Counter("net.frames_in"),
+                        r.Counter("net.bytes_in"),
+                        r.Counter("net.bytes_out"),
+                        r.Counter("net.rows_streamed"),
+                        r.GetHistogram("net.request_us")};
+    }();
+    return metrics;
+  }
+};
+
 /// Sole writer for one connection: frames out, net.bytes_out accounting,
 /// and sticky failure — after one failed write nothing else is attempted,
 /// the connection tears down.
@@ -26,29 +56,28 @@ class ReplyWriter {
  public:
   explicit ReplyWriter(int fd) : fd_(fd) {}
 
-  bool Send(uint64_t request_id, Opcode opcode, std::string body) {
+  /// Sends `frame`, built in place by the frame constructor of WireWriter.
+  bool Send(WireWriter* frame) {
     if (failed_) return false;
-    const std::string payload =
-        BuildFrame(request_id, opcode, std::move(body));
-    if (!WriteFrame(fd_, payload).ok()) {
+    if (!WriteFrame(fd_, frame).ok()) {
       failed_ = true;
       return false;
     }
-    MetricsRegistry::Global().Counter("net.bytes_out").Add(
-        static_cast<int64_t>(4 + payload.size()));
+    NetMetrics::Get().bytes_out.Add(static_cast<int64_t>(frame->size()));
     return true;
   }
 
   bool SendDone(uint64_t request_id, const Status& status, uint64_t value = 0,
                 bool is_rows = false, const AccessStats* stats = nullptr) {
-    return Send(request_id, Opcode::kReplyDone,
-                EncodeDone(status, value, is_rows, stats));
+    WireWriter frame(request_id, Opcode::kReplyDone);
+    EncodeDone(status, value, is_rows, stats, &frame);
+    return Send(&frame);
   }
 
   bool SendText(uint64_t request_id, const std::string& text) {
-    WireWriter w;
-    w.Str(text);
-    return Send(request_id, Opcode::kReplyText, w.Take());
+    WireWriter frame(request_id, Opcode::kReplyText);
+    frame.Str(text);
+    return Send(&frame);
   }
 
   bool failed() const { return failed_; }
@@ -63,40 +92,46 @@ class ReplyWriter {
 /// of materializing. Installed as the session's RowSink for QUERY and
 /// EXECUTE-PREPARED (except checkpoint-enabled runs, where sink execution
 /// is invalid and the server falls back to materialized delivery).
+///
+/// Rows are encoded straight into one frame buffer behind a placeholder
+/// row count; a flush patches the count, sends, and cuts the buffer back
+/// to its header, so the buffer is reused for the next batch.
 class RowStreamer {
  public:
   RowStreamer(ReplyWriter* out, uint64_t request_id)
-      : out_(out), request_id_(request_id) {}
+      : out_(out),
+        frame_(request_id, Opcode::kReplyRows),
+        count_at_(frame_.size()) {
+    frame_.U32(0);
+  }
 
   void Add(Position pos, const Record& rec) {
     if (out_->failed()) return;
-    EncodeRow(pos, rec, &body_);
+    EncodeRow(pos, rec, &frame_);
     ++rows_;
     ++total_;
-    if (rows_ >= kRowBatchRows || body_.buffer().size() >= kRowBatchBytes) {
+    if (rows_ >= kRowBatchRows ||
+        frame_.size() - (count_at_ + 4) >= kRowBatchBytes) {
       Flush();
     }
   }
 
   void Flush() {
     if (rows_ == 0 || out_->failed()) return;
-    WireWriter framed;
-    framed.U32(static_cast<uint32_t>(rows_));
-    if (out_->Send(request_id_, Opcode::kReplyRows,
-                   framed.Take() + body_.Take())) {
-      MetricsRegistry::Global().Counter("net.rows_streamed").Add(
-          static_cast<int64_t>(rows_));
+    frame_.PatchU32(count_at_, static_cast<uint32_t>(rows_));
+    if (out_->Send(&frame_)) {
+      NetMetrics::Get().rows_streamed.Add(static_cast<int64_t>(rows_));
     }
     rows_ = 0;
-    body_ = WireWriter();
+    frame_.Truncate(count_at_ + 4);
   }
 
   uint64_t total() const { return total_; }
 
  private:
   ReplyWriter* out_;
-  uint64_t request_id_;
-  WireWriter body_;
+  WireWriter frame_;
+  size_t count_at_;  ///< offset of the u32 row count in frame_
   size_t rows_ = 0;
   uint64_t total_ = 0;
 };
@@ -151,9 +186,9 @@ void FinishRowReply(ReplyWriter* out, uint64_t request_id,
       row_count = reply.rows.size();
     }
     if (reply.schema != nullptr) {
-      WireWriter w;
-      EncodeSchema(*reply.schema, &w);
-      out->Send(request_id, Opcode::kReplySchema, w.Take());
+      WireWriter frame(request_id, Opcode::kReplySchema);
+      EncodeSchema(*reply.schema, &frame);
+      out->Send(&frame);
     }
   }
   out->SendDone(request_id, Status::OK(), row_count, reply.is_rows,
@@ -295,13 +330,13 @@ namespace {
 /// close (GOODBYE, HELLO mismatch, write failure, protocol misuse).
 bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
                  bool* hello_done) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
+  NetMetrics& metrics = NetMetrics::Get();
   const uint64_t rid = frame.request_id;
   const Opcode op = static_cast<Opcode>(frame.opcode);
   WireCursor c(frame.body);
 
   if (!*hello_done && op != Opcode::kHello) {
-    metrics.Counter("net.protocol_errors").Add();
+    metrics.protocol_errors.Add();
     out->SendDone(rid, Status::FailedPrecondition(
                            "first request must be HELLO"));
     return false;
@@ -314,7 +349,7 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
       Status s = c.U32(&version);
       if (s.ok()) s = c.Str(&client);
       if (!s.ok()) {
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
         out->SendDone(rid, s);
         return false;
       }
@@ -326,11 +361,11 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
                      std::to_string(kWireProtocolVersion)));
         return false;
       }
-      WireWriter w;
-      w.U32(kWireProtocolVersion);
-      w.U64(session->id());
-      w.Str("seqserved");
-      out->Send(rid, Opcode::kReplyHello, w.Take());
+      WireWriter hello(rid, Opcode::kReplyHello);
+      hello.U32(kWireProtocolVersion);
+      hello.U64(session->id());
+      hello.Str("seqserved");
+      out->Send(&hello);
       out->SendDone(rid, Status::OK());
       *hello_done = true;
       return !out->failed();
@@ -346,7 +381,7 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
         s = op == Opcode::kQuery ? c.Str(&source) : c.U64(&statement_id);
       }
       if (!s.ok()) {
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
         out->SendDone(rid, s);
         return !out->failed();
       }
@@ -380,7 +415,7 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
       if (s.ok()) s = ApplyRange(&c, session);
       if (s.ok()) s = c.Str(&source);
       if (!s.ok()) {
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
         out->SendDone(rid, s);
         return !out->failed();
       }
@@ -398,7 +433,7 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
       uint64_t id = 0;
       Status s = c.U64(&id);
       if (!s.ok()) {
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
         out->SendDone(rid, s);
         return !out->failed();
       }
@@ -413,7 +448,7 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
       std::string path;
       if (s.ok()) s = c.Str(&path);
       if (!s.ok()) {
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
         out->SendDone(rid, s);
         return !out->failed();
       }
@@ -430,7 +465,7 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
       std::string kind;
       Status s = c.Str(&kind);
       if (!s.ok()) {
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
         out->SendDone(rid, s);
         return !out->failed();
       }
@@ -458,7 +493,7 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
         if (s.ok()) args.push_back(std::move(arg));
       }
       if (!s.ok()) {
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
         out->SendDone(rid, s);
         return !out->failed();
       }
@@ -477,7 +512,7 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
       return false;
 
     default:
-      metrics.Counter("net.protocol_errors").Add();
+      metrics.protocol_errors.Add();
       out->SendDone(rid, Status::InvalidArgument(
                              "unknown opcode " +
                              std::to_string(frame.opcode)));
@@ -488,8 +523,8 @@ bool HandleFrame(LocalSession* session, ReplyWriter* out, const Frame& frame,
 }  // namespace
 
 void SeqServer::RunConnection(Conn* conn) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.Counter("net.connections").Add();
+  NetMetrics& metrics = NetMetrics::Get();
+  metrics.connections.Add();
 
   LocalSession session(engine_, gate_);
   Inbox inbox;
@@ -504,9 +539,8 @@ void SeqServer::RunConnection(Conn* conn) {
       bool clean_eof = false;
       Status s = ReadFrame(conn->fd, &frame, &clean_eof);
       if (s.ok()) {
-        metrics.Counter("net.frames_in").Add();
-        metrics.Counter("net.bytes_in").Add(
-            static_cast<int64_t>(13 + frame.body.size()));
+        metrics.frames_in.Add();
+        metrics.bytes_in.Add(static_cast<int64_t>(13 + frame.body.size()));
         std::lock_guard<std::mutex> lock(inbox.mu);
         inbox.frames.push_back(std::move(frame));
         inbox.cv.notify_one();
@@ -516,7 +550,7 @@ void SeqServer::RunConnection(Conn* conn) {
                               s.code() == StatusCode::kDataLoss ||
                               s.code() == StatusCode::kUnavailable;
       if (s.code() == StatusCode::kDataLoss) {
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
       }
       if (disconnect) session.Close();
       std::lock_guard<std::mutex> lock(inbox.mu);
@@ -556,16 +590,15 @@ void SeqServer::RunConnection(Conn* conn) {
       if (protocol_error) {
         // Unrecoverable framing (oversized/short declared length): report
         // once with request id 0, count it, close.
-        metrics.Counter("net.protocol_errors").Add();
+        metrics.protocol_errors.Add();
         out.SendDone(0, error);
       }
       break;
     }
     const auto start = std::chrono::steady_clock::now();
     const bool keep = HandleFrame(&session, &out, frame, &hello_done);
-    metrics.Counter("net.requests").Add();
-    metrics.GetHistogram("net.request_us")
-        .Record(static_cast<double>(
+    metrics.requests.Add();
+    metrics.request_us.Record(static_cast<double>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - start)
                 .count()));
@@ -578,7 +611,7 @@ void SeqServer::RunConnection(Conn* conn) {
   session.Close();
   ::shutdown(conn->fd, SHUT_RDWR);
   if (reader.joinable()) reader.join();
-  metrics.Counter("net.disconnects").Add();
+  metrics.disconnects.Add();
   conn->finished.store(true, std::memory_order_release);
 }
 

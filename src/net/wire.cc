@@ -1,10 +1,13 @@
 #include "net/wire.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <unordered_set>
 
 #include "exec/scheduler.h"
 
@@ -59,32 +62,36 @@ void ApplyWireRunOptions(const WireRunOptions& wire, ExecOptions* exec) {
 // WireWriter
 // --------------------------------------------------------------------------
 
-void WireWriter::F64(double v) {
-  // Bit-pattern transport: the client reassembles the exact double, so
-  // remote rows stay byte-identical to local execution.
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  U64(bits);
+WireWriter::WireWriter(uint64_t request_id, Opcode opcode) {
+  U32(0);  // payload length, patched by WriteFrame
+  U64(request_id);
+  U8(static_cast<uint8_t>(opcode));
 }
 
-void WireWriter::Str(const std::string& s) {
-  U32(static_cast<uint32_t>(s.size()));
-  buf_.append(s);
+void WireWriter::Grow(size_t need) {
+  buf_.resize(std::max({buf_.size() * 2, len_ + need, size_t{64}}));
+}
+
+void WireWriter::Bytes(const char* data, size_t size) {
+  if (buf_.size() - len_ < size) Grow(size);
+  if (size > 0) std::memcpy(buf_.data() + len_, data, size);
+  len_ += size;
 }
 
 void WireWriter::Value(const seq::Value& v) {
-  U8(static_cast<uint8_t>(v.type()));
+  const uint8_t tag = static_cast<uint8_t>(v.type());
   switch (v.type()) {
     case TypeId::kInt64:
-      I64(v.int64());
+      PutTagged(tag, v.int64());
       break;
     case TypeId::kDouble:
-      F64(v.dbl());
+      PutTagged(tag, v.dbl());
       break;
     case TypeId::kBool:
-      U8(v.boolean() ? 1 : 0);
+      PutTagged(tag, static_cast<uint8_t>(v.boolean() ? 1 : 0));
       break;
     case TypeId::kString:
+      U8(tag);
       Str(v.str());
       break;
   }
@@ -107,69 +114,10 @@ void WireWriter::Stats(const AccessStats& stats) {
 // WireCursor
 // --------------------------------------------------------------------------
 
-Status WireCursor::Need(size_t n) {
-  if (size_ - off_ < n) {
-    return Status::DataLoss("truncated frame body: need " + std::to_string(n) +
-                            " more bytes, have " +
-                            std::to_string(size_ - off_));
-  }
-  return Status::OK();
-}
-
-Status WireCursor::U8(uint8_t* v) {
-  SEQ_RETURN_IF_ERROR(Need(1));
-  *v = static_cast<uint8_t>(data_[off_++]);
-  return Status::OK();
-}
-
-Status WireCursor::U16(uint16_t* v) {
-  SEQ_RETURN_IF_ERROR(Need(2));
-  uint16_t out = 0;
-  for (size_t i = 0; i < 2; ++i) {
-    out |= static_cast<uint16_t>(static_cast<unsigned char>(data_[off_ + i]))
-           << (8 * i);
-  }
-  off_ += 2;
-  *v = out;
-  return Status::OK();
-}
-
-Status WireCursor::U32(uint32_t* v) {
-  SEQ_RETURN_IF_ERROR(Need(4));
-  uint32_t out = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<unsigned char>(data_[off_ + i]))
-           << (8 * i);
-  }
-  off_ += 4;
-  *v = out;
-  return Status::OK();
-}
-
-Status WireCursor::U64(uint64_t* v) {
-  SEQ_RETURN_IF_ERROR(Need(8));
-  uint64_t out = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<unsigned char>(data_[off_ + i]))
-           << (8 * i);
-  }
-  off_ += 8;
-  *v = out;
-  return Status::OK();
-}
-
-Status WireCursor::I64(int64_t* v) {
-  uint64_t u = 0;
-  SEQ_RETURN_IF_ERROR(U64(&u));
-  *v = static_cast<int64_t>(u);
-  return Status::OK();
-}
-
-Status WireCursor::F64(double* v) {
-  uint64_t bits = 0;
-  SEQ_RETURN_IF_ERROR(U64(&bits));
-  std::memcpy(v, &bits, sizeof(*v));
-  return Status::OK();
+Status WireCursor::Truncated(size_t need) const {
+  return Status::DataLoss("truncated frame body: need " +
+                          std::to_string(need) + " more bytes, have " +
+                          std::to_string(size_ - off_));
 }
 
 Status WireCursor::Str(std::string* s) {
@@ -179,7 +127,7 @@ Status WireCursor::Str(std::string* s) {
     return Status::InvalidArgument("string length " + std::to_string(len) +
                                    " exceeds the frame limit");
   }
-  SEQ_RETURN_IF_ERROR(Need(len));
+  if (size_ - off_ < len) return Truncated(len);
   s->assign(data_ + off_, len);
   off_ += len;
   return Status::OK();
@@ -291,12 +239,18 @@ void EncodeSchema(const Schema& schema, WireWriter* w) {
 Result<SchemaPtr> DecodeSchema(WireCursor* c) {
   uint32_t n = 0;
   SEQ_RETURN_IF_ERROR(c->U32(&n));
-  if (n > kMaxFrameBytes / 5) {
-    return Status::InvalidArgument("schema field count " + std::to_string(n) +
-                                   " exceeds the frame limit");
+  // The count is untrusted. A field takes at least 5 bytes (an empty
+  // name's u32 length and the type tag), so a count the rest of the body
+  // cannot hold is a truncated frame, rejected before anything is
+  // reserved for it.
+  if (n > c->remaining() / 5) {
+    return Status::DataLoss("schema field count " + std::to_string(n) +
+                            " needs at least " + std::to_string(5ull * n) +
+                            " bytes, have " + std::to_string(c->remaining()));
   }
   std::vector<Field> fields;
   fields.reserve(n);
+  std::unordered_set<std::string> names;  // Schema::Make aborts on a repeat
   for (uint32_t i = 0; i < n; ++i) {
     Field f;
     SEQ_RETURN_IF_ERROR(c->Str(&f.name));
@@ -305,6 +259,10 @@ Result<SchemaPtr> DecodeSchema(WireCursor* c) {
     if (type > static_cast<uint8_t>(TypeId::kString)) {
       return Status::InvalidArgument("unknown field type tag " +
                                      std::to_string(type));
+    }
+    if (!names.insert(f.name).second) {
+      return Status::InvalidArgument("duplicate schema field name '" +
+                                     f.name + "'");
     }
     f.type = static_cast<TypeId>(type);
     fields.push_back(std::move(f));
@@ -322,13 +280,18 @@ Status DecodeRow(WireCursor* c, PosRecord* row) {
   SEQ_RETURN_IF_ERROR(c->I64(&row->pos));
   uint32_t n = 0;
   SEQ_RETURN_IF_ERROR(c->U32(&n));
-  if (n > kMaxFrameBytes / 2) {
-    return Status::InvalidArgument("row field count " + std::to_string(n) +
-                                   " exceeds the frame limit");
+  // The count is untrusted. A value takes at least 2 bytes (a bool's tag
+  // and byte), so a count the rest of the body cannot hold is a truncated
+  // frame, rejected before anything is reserved for it.
+  if (n > c->remaining() / 2) {
+    return Status::DataLoss("row field count " + std::to_string(n) +
+                            " needs at least " + std::to_string(2ull * n) +
+                            " bytes, have " + std::to_string(c->remaining()));
   }
   row->rec.clear();
   row->rec.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
+    if (c->FixedValue(&row->rec)) continue;
     seq::Value v;
     SEQ_RETURN_IF_ERROR(c->Value(&v));
     row->rec.push_back(std::move(v));
@@ -336,16 +299,14 @@ Status DecodeRow(WireCursor* c, PosRecord* row) {
   return Status::OK();
 }
 
-std::string EncodeDone(const Status& status, uint64_t value, bool is_rows,
-                       const AccessStats* stats) {
-  WireWriter w;
-  w.U8(static_cast<uint8_t>(status.code()));
-  w.Str(status.ok() ? std::string() : status.message());
-  w.U64(value);
-  w.U8(is_rows ? 1 : 0);
-  w.U8(stats != nullptr ? 1 : 0);
-  if (stats != nullptr) w.Stats(*stats);
-  return w.Take();
+void EncodeDone(const Status& status, uint64_t value, bool is_rows,
+                const AccessStats* stats, WireWriter* w) {
+  w->U8(static_cast<uint8_t>(status.code()));
+  w->Str(status.ok() ? std::string() : status.message());
+  w->U64(value);
+  w->U8(is_rows ? 1 : 0);
+  w->U8(stats != nullptr ? 1 : 0);
+  if (stats != nullptr) w->Stats(*stats);
 }
 
 Status DecodeDone(WireCursor* c, DoneReply* done) {
@@ -375,6 +336,9 @@ Status DoneToStatus(const DoneReply& done) {
 // --------------------------------------------------------------------------
 
 namespace {
+
+/// Request id (u64) + opcode (u8): the payload bytes before the body.
+constexpr size_t kRequestHeaderBytes = 9;
 
 Status WriteAll(int fd, const char* data, size_t size) {
   size_t off = 0;
@@ -410,20 +374,36 @@ Status ReadAll(int fd, char* data, size_t size, size_t* got) {
   return Status::OK();
 }
 
-}  // namespace
-
-std::string BuildFrame(uint64_t request_id, Opcode opcode, std::string body) {
-  WireWriter header;
-  header.U64(request_id);
-  header.U8(static_cast<uint8_t>(opcode));
-  return header.Take() + body;
+/// Fills both `parts` completely, retrying short reads. The parts follow
+/// a length prefix already read, so an EOF here is always a truncation.
+Status ReadAllV(int fd, iovec (&parts)[2]) {
+  size_t next = 0;
+  while (next < 2) {
+    const ssize_t n = ::readv(fd, parts + next, static_cast<int>(2 - next));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unavailable(std::string("socket read failed: ") +
+                                 std::strerror(errno));
+    }
+    if (n == 0) return Status::DataLoss("connection closed mid-read");
+    size_t left = static_cast<size_t>(n);
+    while (next < 2 && left >= parts[next].iov_len) {
+      left -= parts[next].iov_len;
+      ++next;
+    }
+    if (next < 2) {
+      parts[next].iov_base = static_cast<char*>(parts[next].iov_base) + left;
+      parts[next].iov_len -= left;
+    }
+  }
+  return Status::OK();
 }
 
-Status WriteFrame(int fd, const std::string& payload) {
-  WireWriter prefix;
-  prefix.U32(static_cast<uint32_t>(payload.size()));
-  SEQ_RETURN_IF_ERROR(WriteAll(fd, prefix.buffer().data(), 4));
-  return WriteAll(fd, payload.data(), payload.size());
+}  // namespace
+
+Status WriteFrame(int fd, WireWriter* frame) {
+  frame->PatchU32(0, static_cast<uint32_t>(frame->size() - 4));
+  return WriteAll(fd, frame->data(), frame->size());
 }
 
 Status ReadFrame(int fd, Frame* frame, bool* clean_eof) {
@@ -444,26 +424,26 @@ Status ReadFrame(int fd, Frame* frame, bool* clean_eof) {
     return r;
   }
   uint32_t length = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(static_cast<unsigned char>(prefix[i]))
-              << (8 * i);
-  }
+  std::memcpy(&length, prefix, sizeof(length));
   if (length > kMaxFrameBytes) {
     return Status::InvalidArgument(
         "declared frame length " + std::to_string(length) +
         " exceeds the limit (" + std::to_string(kMaxFrameBytes) +
         "); closing desynchronized stream");
   }
-  if (length < 9) {
+  if (length < kRequestHeaderBytes) {
     return Status::InvalidArgument("frame too short for request id + opcode (" +
                                    std::to_string(length) + " bytes)");
   }
-  std::string payload(length, '\0');
-  SEQ_RETURN_IF_ERROR(ReadAll(fd, payload.data(), length, &got));
-  WireCursor cursor(payload);
-  SEQ_RETURN_IF_ERROR(cursor.U64(&frame->request_id));
-  SEQ_RETURN_IF_ERROR(cursor.U8(&frame->opcode));
-  frame->body.assign(payload, 9, payload.size() - 9);
+  // One scattered read: the request header into a local, the body
+  // straight into its final place.
+  char header[kRequestHeaderBytes];
+  frame->body.resize(length - kRequestHeaderBytes);
+  iovec parts[2] = {{header, kRequestHeaderBytes},
+                    {frame->body.data(), frame->body.size()}};
+  SEQ_RETURN_IF_ERROR(ReadAllV(fd, parts));
+  std::memcpy(&frame->request_id, header, sizeof(frame->request_id));
+  frame->opcode = static_cast<uint8_t>(header[8]);
   return Status::OK();
 }
 

@@ -1,11 +1,14 @@
 #ifndef SEQ_NET_WIRE_H_
 #define SEQ_NET_WIRE_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "core/engine.h"
 #include "storage/access_stats.h"
@@ -90,34 +93,77 @@ WireRunOptions CaptureWireRunOptions(const RunOptions& opts,
 void ApplyWireRunOptions(const WireRunOptions& wire, ExecOptions* exec);
 
 // ---------------------------------------------------------------------------
-// Payload encoding. A WireWriter accumulates one frame's payload; a
-// WireCursor decodes one with bounds-checked reads — every malformed or
-// truncated body surfaces as a Status, never as out-of-bounds access.
+// Payload encoding. A WireWriter accumulates one frame (or one request
+// body); a WireCursor decodes one with bounds-checked reads — every
+// malformed or truncated body surfaces as a Status, never as
+// out-of-bounds access.
+//
+// Fixed-width values are copied in host byte order, one memcpy each. The
+// protocol is little-endian, so this holds only on a little-endian host.
 // ---------------------------------------------------------------------------
+
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies integers and doubles in host byte "
+              "order; protocol v1 is little-endian");
 
 class WireWriter {
  public:
-  void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U16(uint16_t v) { AppendLe(v); }
-  void U32(uint32_t v) { AppendLe(v); }
-  void U64(uint64_t v) { AppendLe(v); }
-  void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
-  void F64(double v);
-  void Str(const std::string& s);
+  /// A bare writer: request bodies and hand-built test bytes.
+  WireWriter() = default;
+  /// A frame writer. The buffer starts with the u32 length prefix (left
+  /// zero; WriteFrame patches it) and the request id + opcode header, so
+  /// the body is appended in place and the frame leaves in one send.
+  WireWriter(uint64_t request_id, Opcode opcode);
+
+  void U8(uint8_t v) { Put(v); }
+  void U32(uint32_t v) { Put(v); }
+  void U64(uint64_t v) { Put(v); }
+  void I64(int64_t v) { Put(v); }
+  /// The 8-byte IEEE-754 bit pattern: the client reassembles the exact
+  /// double, so remote rows stay byte-identical to local execution.
+  void F64(double v) { Put(v); }
+  void Bytes(const char* data, size_t size);
+  void Str(const std::string& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
   void Value(const class Value& v);
   void Stats(const AccessStats& stats);
 
-  const std::string& buffer() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
+  /// Overwrites the u32 at `offset`, a length or count written earlier as
+  /// a placeholder.
+  void PatchU32(size_t offset, uint32_t v) {
+    SEQ_DCHECK(offset + sizeof(v) <= len_);
+    std::memcpy(buf_.data() + offset, &v, sizeof(v));
+  }
+  /// Drops every byte past the first `size`, keeping the allocation.
+  void Truncate(size_t size) {
+    SEQ_DCHECK(size <= len_);
+    len_ = size;
+  }
+
+  const char* data() const { return buf_.data(); }
+  size_t size() const { return len_; }
 
  private:
   template <typename T>
-  void AppendLe(T v) {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+  void Put(T v) {
+    if (buf_.size() - len_ < sizeof(T)) Grow(sizeof(T));
+    std::memcpy(buf_.data() + len_, &v, sizeof(T));
+    len_ += sizeof(T);
   }
-  std::string buf_;
+  /// A value's type tag and fixed-width payload under one capacity check.
+  template <typename T>
+  void PutTagged(uint8_t tag, T v) {
+    if (buf_.size() - len_ < 1 + sizeof(T)) Grow(1 + sizeof(T));
+    buf_[len_] = static_cast<char>(tag);
+    std::memcpy(buf_.data() + len_ + 1, &v, sizeof(T));
+    len_ += 1 + sizeof(T);
+  }
+  void Grow(size_t need);
+
+  std::string buf_;  ///< storage; only the first len_ bytes are written
+  size_t len_ = 0;
 };
 
 class WireCursor {
@@ -126,21 +172,50 @@ class WireCursor {
       : data_(payload.data()), size_(payload.size()) {}
   WireCursor(const char* data, size_t size) : data_(data), size_(size) {}
 
-  Status U8(uint8_t* v);
-  Status U16(uint16_t* v);
-  Status U32(uint32_t* v);
-  Status U64(uint64_t* v);
-  Status I64(int64_t* v);
-  Status F64(double* v);
+  Status U8(uint8_t* v) { return Fixed(v); }
+  Status U32(uint32_t* v) { return Fixed(v); }
+  Status U64(uint64_t* v) { return Fixed(v); }
+  Status I64(int64_t* v) { return Fixed(v); }
+  Status F64(double* v) { return Fixed(v); }
   Status Str(std::string* s);
   Status Value(class Value* v);
   Status Stats(AccessStats* stats);
+
+  /// Appends an int64 or double value to `rec`, with one bounds check
+  /// covering its tag and 8-byte payload. Returns false, consuming
+  /// nothing, for any other tag or a body too short for it; Value() then
+  /// takes the checked path.
+  bool FixedValue(Record* rec) {
+    if (size_ - off_ < 9) return false;
+    const uint8_t tag = static_cast<uint8_t>(data_[off_]);
+    if (tag == static_cast<uint8_t>(TypeId::kInt64)) {
+      int64_t i = 0;
+      std::memcpy(&i, data_ + off_ + 1, sizeof(i));
+      rec->push_back(seq::Value::Int64(i));
+    } else if (tag == static_cast<uint8_t>(TypeId::kDouble)) {
+      double d = 0;
+      std::memcpy(&d, data_ + off_ + 1, sizeof(d));
+      rec->push_back(seq::Value::Double(d));
+    } else {
+      return false;
+    }
+    off_ += 9;
+    return true;
+  }
 
   size_t remaining() const { return size_ - off_; }
   bool Exhausted() const { return off_ == size_; }
 
  private:
-  Status Need(size_t n);
+  template <typename T>
+  Status Fixed(T* v) {
+    if (size_ - off_ < sizeof(T)) return Truncated(sizeof(T));
+    std::memcpy(v, data_ + off_, sizeof(T));
+    off_ += sizeof(T);
+    return Status::OK();
+  }
+  Status Truncated(size_t need) const;
+
   const char* data_;
   size_t size_;
   size_t off_ = 0;
@@ -170,8 +245,8 @@ struct DoneReply {
   AccessStats stats;
 };
 
-std::string EncodeDone(const Status& status, uint64_t value, bool is_rows,
-                       const AccessStats* stats);
+void EncodeDone(const Status& status, uint64_t value, bool is_rows,
+                const AccessStats* stats, WireWriter* w);
 Status DecodeDone(WireCursor* c, DoneReply* done);
 
 /// Reconstructs the request's Status from a decoded DONE body.
@@ -189,14 +264,12 @@ struct Frame {
   std::string body;  ///< payload after the request id + opcode header
 };
 
-/// Writes one frame. `payload` must already start with the request id and
-/// opcode (BuildFrame composes it).
-Status WriteFrame(int fd, const std::string& payload);
+/// Patches the length prefix of `frame` (built by the frame constructor of
+/// WireWriter) and writes it with one send.
+Status WriteFrame(int fd, WireWriter* frame);
 
-/// Composes a frame payload: request id + opcode + body.
-std::string BuildFrame(uint64_t request_id, Opcode opcode, std::string body);
-
-/// Reads one frame. Distinguishes the three failure shapes the server
+/// Reads one frame; the payload is copied once, straight into
+/// `frame->body`. Distinguishes the three failure shapes the server
 /// cares about: clean EOF between frames (`*clean_eof` set, NotFound
 /// status), a truncated prefix or body (DataLoss), and an oversized
 /// declared length (InvalidArgument — the connection must close, the

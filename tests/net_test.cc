@@ -134,11 +134,10 @@ class NetTest : public ::testing::Test {
 
   // Performs the HELLO exchange on a raw socket.
   void RawHello(int fd) {
-    WireWriter body;
-    body.U32(kWireProtocolVersion);
-    body.Str("net_test-raw");
-    ASSERT_TRUE(
-        WriteFrame(fd, BuildFrame(1, Opcode::kHello, body.Take())).ok());
+    WireWriter frame(1, Opcode::kHello);
+    frame.U32(kWireProtocolVersion);
+    frame.Str("net_test-raw");
+    ASSERT_TRUE(WriteFrame(fd, &frame).ok());
     bool done = false;
     while (!done) {
       Frame frame;
@@ -189,11 +188,10 @@ TEST_F(NetTest, HelloAssignsServerSessionId) {
 
 TEST_F(NetTest, VersionMismatchRejected) {
   int fd = RawConnect();
-  WireWriter body;
-  body.U32(kWireProtocolVersion + 1);
-  body.Str("net_test-bad-version");
-  ASSERT_TRUE(
-      WriteFrame(fd, BuildFrame(1, Opcode::kHello, body.Take())).ok());
+  WireWriter frame(1, Opcode::kHello);
+  frame.U32(kWireProtocolVersion + 1);
+  frame.Str("net_test-bad-version");
+  ASSERT_TRUE(WriteFrame(fd, &frame).ok());
   Status s = ReadDone(fd);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.message().find("version"), std::string::npos) << s.ToString();
@@ -221,6 +219,92 @@ TEST_F(NetTest, RemoteRowsAreByteIdenticalToLocal) {
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_FALSE(explain->is_rows);
   EXPECT_FALSE(explain->text.empty());
+}
+
+// The net.* byte counters against the frame layout: every frame costs
+// 4 (length prefix) + 9 (request id, opcode) + its body, counted once.
+TEST_F(NetTest, ByteCountersMatchTheFrameLayout) {
+  constexpr size_t kFrameOverhead = 4 + 9;
+  const std::string source = "ibm;";
+  LocalSession local(&server_->engine(), &server_->gate());
+  auto want = local.Execute(source);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(want->is_rows);
+  ASSERT_NE(want->schema, nullptr);
+  ASSERT_GT(want->rows.size(), kRowBatchRows);  // more than one ROWS frame
+
+  // The reply: ROWS frames of at most kRowBatchRows rows, then SCHEMA,
+  // then a DONE with an empty message and no stats.
+  int64_t reply_bytes = 0;
+  size_t batch_rows = 0;
+  size_t batch_bytes = 0;
+  auto close_batch = [&] {
+    reply_bytes += static_cast<int64_t>(kFrameOverhead + 4 + batch_bytes);
+    batch_rows = 0;
+    batch_bytes = 0;
+  };
+  for (const PosRecord& row : want->rows) {
+    batch_bytes += 8 + 4;
+    for (const Value& v : row.rec) {
+      switch (v.type()) {
+        case TypeId::kInt64:
+        case TypeId::kDouble:
+          batch_bytes += 1 + 8;
+          break;
+        case TypeId::kBool:
+          batch_bytes += 1 + 1;
+          break;
+        case TypeId::kString:
+          batch_bytes += 1 + 4 + v.str().size();
+          break;
+      }
+    }
+    if (++batch_rows == kRowBatchRows) close_batch();
+  }
+  if (batch_rows > 0) close_batch();
+  ASSERT_TRUE(want->text.empty());
+  size_t schema_body = 4;
+  for (const Field& f : want->schema->fields()) {
+    schema_body += 4 + f.name.size() + 1;
+  }
+  reply_bytes += static_cast<int64_t>(kFrameOverhead + schema_body);
+  reply_bytes += static_cast<int64_t>(kFrameOverhead + 1 + 4 + 8 + 1 + 1);
+
+  // The server counts a frame after its send returns, so a client can
+  // read a DONE before it is counted. It counts the request once every
+  // reply frame is sent and counted: waiting on net.requests makes the
+  // counters quiet.
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  const int64_t requests = metrics.Get("net.requests");
+  auto wait_for_requests = [&](int64_t n) {
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (metrics.Get("net.requests") - requests < n &&
+           Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(metrics.Get("net.requests") - requests, n);
+  };
+  auto session = Dial();
+  ASSERT_NE(session, nullptr);
+  wait_for_requests(1);  // HELLO
+  WireWriter request;
+  EncodeRunOptions(CaptureWireRunOptions(session->options(), false),
+                   &request);
+  request.U8(0);  // no range
+  request.Str(source);
+
+  const int64_t frames_in = metrics.Get("net.frames_in");
+  const int64_t bytes_in = metrics.Get("net.bytes_in");
+  const int64_t bytes_out = metrics.Get("net.bytes_out");
+  auto reply = session->Execute(source);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->rows.size(), want->rows.size());
+  wait_for_requests(2);
+
+  EXPECT_EQ(metrics.Get("net.frames_in") - frames_in, 1);
+  EXPECT_EQ(metrics.Get("net.bytes_in") - bytes_in,
+            static_cast<int64_t>(kFrameOverhead + request.size()));
+  EXPECT_EQ(metrics.Get("net.bytes_out") - bytes_out, reply_bytes);
 }
 
 TEST_F(NetTest, RemoteSinkStreamsRowBatches) {
@@ -490,7 +574,7 @@ TEST_F(NetTest, MalformedFramesNeverCrashTheServer) {
     int fd = RawConnect();
     WireWriter prefix;
     prefix.U32(kMaxFrameBytes + 1);
-    SendRaw(fd, prefix.Take());
+    SendRaw(fd, std::string(prefix.data(), prefix.size()));
     EXPECT_TRUE(DrainUntilClose(fd)) << "server kept oversized-frame conn";
     close(fd);
   }
@@ -503,7 +587,7 @@ TEST_F(NetTest, MalformedFramesNeverCrashTheServer) {
     frame.U32(5);
     frame.U32(0xdeadbeef);
     frame.U8(0x7f);
-    SendRaw(fd, frame.Take());
+    SendRaw(fd, std::string(frame.data(), frame.size()));
     EXPECT_TRUE(DrainUntilClose(fd)) << "server kept short-payload conn";
     close(fd);
   }
@@ -513,7 +597,7 @@ TEST_F(NetTest, MalformedFramesNeverCrashTheServer) {
     int fd = RawConnect();
     WireWriter frame;
     frame.U32(100);
-    SendRaw(fd, frame.Take());
+    SendRaw(fd, std::string(frame.data(), frame.size()));
     SendRaw(fd, std::string(10, 'x'));
     close(fd);
   }
@@ -523,16 +607,14 @@ TEST_F(NetTest, MalformedFramesNeverCrashTheServer) {
   {
     int fd = RawConnect();
     RawHello(fd);
-    ASSERT_TRUE(WriteFrame(fd, BuildFrame(2, static_cast<Opcode>(42),
-                                          std::string()))
-                    .ok());
+    WireWriter unknown(2, static_cast<Opcode>(42));
+    ASSERT_TRUE(WriteFrame(fd, &unknown).ok());
     Status bad = ReadDone(fd);
     EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument) << bad.ToString();
 
-    WireWriter body;
-    body.Str("metrics");
-    ASSERT_TRUE(
-        WriteFrame(fd, BuildFrame(3, Opcode::kTelemetry, body.Take())).ok());
+    WireWriter telemetry(3, Opcode::kTelemetry);
+    telemetry.Str("metrics");
+    ASSERT_TRUE(WriteFrame(fd, &telemetry).ok());
     Status after = ReadDone(fd);
     EXPECT_TRUE(after.ok()) << after.ToString();
     close(fd);
@@ -543,16 +625,15 @@ TEST_F(NetTest, MalformedFramesNeverCrashTheServer) {
   {
     int fd = RawConnect();
     RawHello(fd);
-    ASSERT_TRUE(WriteFrame(fd, BuildFrame(2, Opcode::kQuery,
-                                          std::string("\x01\x02\x03", 3)))
-                    .ok());
+    WireWriter garbage(2, Opcode::kQuery);
+    garbage.Bytes("\x01\x02\x03", 3);
+    ASSERT_TRUE(WriteFrame(fd, &garbage).ok());
     Status bad = ReadDone(fd);
     EXPECT_FALSE(bad.ok());
 
-    WireWriter body;
-    body.Str("metrics");
-    ASSERT_TRUE(
-        WriteFrame(fd, BuildFrame(3, Opcode::kTelemetry, body.Take())).ok());
+    WireWriter telemetry(3, Opcode::kTelemetry);
+    telemetry.Str("metrics");
+    ASSERT_TRUE(WriteFrame(fd, &telemetry).ok());
     EXPECT_TRUE(ReadDone(fd).ok());
     close(fd);
   }
