@@ -1,29 +1,41 @@
 // Composite-event pattern detection ([GJS92], the paper's "trigger
-// mechanisms" domain) compiled into the sequence algebra, run two ways:
-// retrospectively over a history, and live over arriving events through a
-// StreamSession.
+// mechanisms" domain) written as Sequin views over the sequence algebra,
+// run two ways: retrospectively over a history, and live over arriving
+// events through a StreamSession.
 //
 // The pattern: two failed logins within 10 ticks of each other, followed
-// by a large transfer within 100 ticks — a classic fraud signature.
+// by a large transfer within 100 ticks — a classic fraud signature. Each
+// step is a selection composed with the previous step's matches counted
+// over a trailing window and shifted back one position, so the earlier
+// event must fall strictly before the current one and within the gap.
+// WindowAgg emits only where its window is non-empty, so the positional
+// join itself is the existence test.
 
 #include <iostream>
 
 #include "common/rng.h"
 #include "core/engine.h"
 #include "exec/stream_session.h"
-#include "parser/unparse.h"
-#include "pattern/pattern.h"
+#include "parser/parser.h"
 
 using namespace seq;
 
 namespace {
 
+constexpr const char* kFraudPattern =
+    "m1 = select(events, kind == \"login_fail\");\n"
+    "m2 = project(compose(select(events, kind == \"login_fail\"),\n"
+    "                     offset(count(m1, kind, over 10), -1)),\n"
+    "             kind, amount);\n"
+    "fraud = project(compose(select(events, (kind == \"transfer\") and "
+    "(amount > 1000)),\n"
+    "                        offset(count(m2, kind, over 100), -1)),\n"
+    "                kind, amount);\n";
+
 SchemaPtr EventSchema() {
   return Schema::Make(
       {Field{"kind", TypeId::kString}, Field{"amount", TypeId::kDouble}});
 }
-
-ExprPtr Kind(const char* k) { return Eq(Col("kind"), Lit(k)); }
 
 Status AppendEvent(BaseSequenceStore* store, Position t, const char* kind,
                    double amount) {
@@ -68,19 +80,13 @@ int main() {
     return 1;
   }
 
-  // The pattern, compiled into the paper's operators.
-  Pattern pattern = Pattern::Start(Kind("login_fail"))
-                        .Then(Kind("login_fail"), 10)
-                        .Then(And(Kind("transfer"),
-                                  Gt(Col("amount"), Lit(1000.0))),
-                              100);
-  auto graph = pattern.Compile(engine.catalog(), "events");
+  // The pattern's last view inlines the two before it.
+  auto graph = ParseSequinQuery(kFraudPattern);
   if (!graph.ok()) {
     std::cerr << graph.status() << "\n";
     return 1;
   }
-  std::cout << "compiled pattern (Sequin form):\n  "
-            << *UnparseQuery(**graph, "fraud") << "\n\n";
+  std::cout << "fraud pattern (Sequin views):\n" << kFraudPattern << "\n";
 
   // 1. Retrospective run over the whole history.
   AccessStats stats;
@@ -92,16 +98,14 @@ int main() {
   }
   std::cout << "historical matches (" << matches->records.size() << "):\n"
             << matches->ToString(5);
-  std::cout << "single scan: " << stats.stream_records
-            << " records read, 0 probes ("
-            << (stats.probes == 0 ? "yes" : "NO") << ")\n\n";
+  std::cout << "history run: " << stats.stream_records << " records read, "
+            << stats.probes << " probes\n\n";
 
-  // 2. Live detection: the same compiled graph as a standing query.
+  // 2. Live detection: the same views as a standing query.
   Engine live_engine;
   auto live_store = std::make_shared<BaseSequenceStore>(EventSchema(), 32);
   (void)live_engine.RegisterBase("events", live_store);
-  auto live_graph = pattern.Compile(live_engine.catalog(), "events");
-  StreamSession session(&live_engine.catalog(), *live_graph);
+  StreamSession session(&live_engine.catalog(), (*graph)->Clone());
 
   Position lt = 0;
   int alerts = 0;

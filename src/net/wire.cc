@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <unordered_set>
 
 #include "exec/scheduler.h"
 
@@ -250,7 +249,6 @@ Result<SchemaPtr> DecodeSchema(WireCursor* c) {
   }
   std::vector<Field> fields;
   fields.reserve(n);
-  std::unordered_set<std::string> names;  // Schema::Make aborts on a repeat
   for (uint32_t i = 0; i < n; ++i) {
     Field f;
     SEQ_RETURN_IF_ERROR(c->Str(&f.name));
@@ -260,13 +258,11 @@ Result<SchemaPtr> DecodeSchema(WireCursor* c) {
       return Status::InvalidArgument("unknown field type tag " +
                                      std::to_string(type));
     }
-    if (!names.insert(f.name).second) {
-      return Status::InvalidArgument("duplicate schema field name '" +
-                                     f.name + "'");
-    }
     f.type = static_cast<TypeId>(type);
     fields.push_back(std::move(f));
   }
+  // Schema::Make aborts on a repeated name; a peer's frame must not.
+  SEQ_RETURN_IF_ERROR(Schema::CheckDistinctNames(fields));
   return Schema::Make(std::move(fields));
 }
 

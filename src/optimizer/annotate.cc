@@ -117,7 +117,8 @@ Status Annotator::AnnotateNode(LogicalOp* op) const {
         SEQ_ASSIGN_OR_RETURN(size_t idx, in.schema->FieldIndex(col));
         indices.push_back(idx);
       }
-      meta.schema = in.schema->Project(indices, op->renames());
+      SEQ_ASSIGN_OR_RETURN(meta.schema,
+                           in.schema->Project(indices, op->renames()));
       meta.span = in.span;
       meta.density = in.density;
       meta.source_names = in.source_names;

@@ -145,6 +145,7 @@ class Parser {
       SEQ_RETURN_IF_ERROR(ExpectSymbol(","));
       SEQ_ASSIGN_OR_RETURN(int64_t l, SignedInt());
       SEQ_RETURN_IF_ERROR(ExpectSymbol(")"));
+      SEQ_RETURN_IF_ERROR(CheckMagnitude(func.c_str(), l));
       if (func == "offset") {
         return LogicalOp::PositionalOffset(std::move(input), l);
       }
@@ -172,6 +173,7 @@ class Parser {
         } else {
           SEQ_ASSIGN_OR_RETURN(int64_t w, SignedInt());
           if (w < 1) return ErrorHere("window must be >= 1");
+          SEQ_RETURN_IF_ERROR(CheckMagnitude("window", w));
           out = LogicalOp::WindowAgg(std::move(input), agg, col, w);
         }
       } else if (Peek().IsIdent("running")) {
@@ -221,6 +223,7 @@ class Parser {
       SEQ_ASSIGN_OR_RETURN(int64_t factor, SignedInt());
       SEQ_RETURN_IF_ERROR(ExpectSymbol(")"));
       if (factor < 1) return ErrorHere("expand factor must be >= 1");
+      SEQ_RETURN_IF_ERROR(CheckMagnitude("expand factor", factor));
       return LogicalOp::Expand(std::move(input), factor);
     }
     if (func == "collapse") {
@@ -241,11 +244,20 @@ class Parser {
       }
       SEQ_RETURN_IF_ERROR(ExpectSymbol(")"));
       if (factor < 1) return ErrorHere("collapse factor must be >= 1");
+      SEQ_RETURN_IF_ERROR(CheckMagnitude("collapse factor", factor));
       return LogicalOp::Collapse(std::move(input), factor,
                                  AggFromName(agg_name), col,
                                  std::move(output_name));
     }
     return ErrorHere("unknown operator '" + func + "'");
+  }
+
+  // Span arithmetic is exact only while every shift and window stays
+  // within the position domain.
+  Status CheckMagnitude(const char* what, int64_t v) const {
+    if (v >= -kMaxPosition && v <= kMaxPosition) return Status::OK();
+    return ErrorHere(std::string(what) + " magnitude must be <= " +
+                     std::to_string(kMaxPosition));
   }
 
   Result<int64_t> SignedInt() {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <type_traits>
 #include <variant>
 #include <vector>
@@ -227,7 +226,6 @@ Result<BaseSequencePtr> LoadSequence(const std::string& path) {
   }
   std::vector<Field> fields;
   fields.reserve(num_fields);
-  std::set<std::string> names;
   for (uint32_t i = 0; i < num_fields; ++i) {
     Field f;
     uint8_t type = 0;
@@ -235,14 +233,13 @@ Result<BaseSequencePtr> LoadSequence(const std::string& path) {
         type > static_cast<uint8_t>(TypeId::kString)) {
       return Status::DataLoss("'" + path + "': bad field header");
     }
-    // Schema::Make treats duplicate names as a programming error (abort);
-    // reject them here so a corrupt file cannot reach it.
-    if (!names.insert(f.name).second) {
-      return Status::DataLoss("'" + path + "': duplicate field name '" +
-                              f.name + "'");
-    }
     f.type = static_cast<TypeId>(type);
     fields.push_back(std::move(f));
+  }
+  // Schema::Make treats duplicate names as a programming error (abort);
+  // reject them here so a corrupt file cannot reach it.
+  if (Status s = Schema::CheckDistinctNames(fields); !s.ok()) {
+    return Status::DataLoss("'" + path + "': " + s.message());
   }
   SchemaPtr schema = Schema::Make(std::move(fields));
   auto store = std::make_shared<BaseSequenceStore>(

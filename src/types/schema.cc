@@ -9,12 +9,19 @@ namespace seq {
 Schema::Schema(std::vector<Field> fields) : fields_(std::move(fields)) {}
 
 SchemaPtr Schema::Make(std::vector<Field> fields) {
+  const Status names = CheckDistinctNames(fields);
+  SEQ_CHECK_MSG(names.ok(), names.message() << " in schema");
+  return std::make_shared<Schema>(std::move(fields));
+}
+
+Status Schema::CheckDistinctNames(const std::vector<Field>& fields) {
   std::unordered_set<std::string> seen;
   for (const Field& f : fields) {
-    SEQ_CHECK_MSG(seen.insert(f.name).second,
-                  "duplicate field name '" << f.name << "' in schema");
+    if (!seen.insert(f.name).second) {
+      return Status::InvalidArgument("duplicate field name '" + f.name + "'");
+    }
   }
-  return std::make_shared<Schema>(std::move(fields));
+  return Status::OK();
 }
 
 std::optional<size_t> Schema::FindField(const std::string& name) const {
@@ -33,8 +40,9 @@ Result<size_t> Schema::FieldIndex(const std::string& name) const {
   return *idx;
 }
 
-SchemaPtr Schema::Project(const std::vector<size_t>& indices,
-                          const std::vector<std::string>& new_names) const {
+Result<SchemaPtr> Schema::Project(
+    const std::vector<size_t>& indices,
+    const std::vector<std::string>& new_names) const {
   std::vector<Field> out;
   out.reserve(indices.size());
   for (size_t k = 0; k < indices.size(); ++k) {
@@ -43,6 +51,7 @@ SchemaPtr Schema::Project(const std::vector<size_t>& indices,
     if (k < new_names.size() && !new_names[k].empty()) f.name = new_names[k];
     out.push_back(std::move(f));
   }
+  SEQ_RETURN_IF_ERROR(CheckDistinctNames(out));
   return Schema::Make(std::move(out));
 }
 

@@ -35,6 +35,11 @@ class Schema {
   /// programming error (checked).
   static SchemaPtr Make(std::vector<Field> fields);
 
+  /// OK when no two fields share a name, else InvalidArgument naming the
+  /// first repeat. Fields from outside input (Sequin renames, CSV headers,
+  /// SEQ1 files, wire frames) pass this before reaching Make.
+  static Status CheckDistinctNames(const std::vector<Field>& fields);
+
   size_t num_fields() const { return fields_.size(); }
   const Field& field(size_t i) const { return fields_[i]; }
   const std::vector<Field>& fields() const { return fields_; }
@@ -46,9 +51,11 @@ class Schema {
   Result<size_t> FieldIndex(const std::string& name) const;
 
   /// Schema with only the fields at `indices`, in that order, optionally
-  /// renamed (empty string keeps the original name).
-  SchemaPtr Project(const std::vector<size_t>& indices,
-                    const std::vector<std::string>& new_names = {}) const;
+  /// renamed (empty string keeps the original name). Renames that repeat a
+  /// name fail with InvalidArgument.
+  Result<SchemaPtr> Project(
+      const std::vector<size_t>& indices,
+      const std::vector<std::string>& new_names = {}) const;
 
   /// Concatenation for compose (positional join) outputs. Name clashes on
   /// the right side are resolved by appending `right_suffix` (and then

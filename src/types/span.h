@@ -12,8 +12,8 @@ namespace seq {
 using Position = int64_t;
 
 /// Sentinels for unbounded spans (constant sequences). Chosen well inside
-/// the int64 range so that shifting a span by an operator offset can never
-/// overflow.
+/// the int64 range: span arithmetic clamps to them, and Sequin rejects a
+/// window or offset literal larger than kMaxPosition.
 inline constexpr Position kMinPosition = INT64_MIN / 4;
 inline constexpr Position kMaxPosition = INT64_MAX / 4;
 
@@ -60,19 +60,21 @@ struct Span {
   }
 
   /// The span shifted by `delta` positions; sentinel bounds are sticky so
-  /// shifting an unbounded span keeps it unbounded.
+  /// shifting an unbounded span keeps it unbounded, and a bound shifted
+  /// past a sentinel stops at it.
   Span Shift(Position delta) const {
     if (IsEmpty()) return Empty();
-    Position s = (start <= kMinPosition) ? kMinPosition : start + delta;
-    Position e = (end >= kMaxPosition) ? kMaxPosition : end + delta;
+    Position s = (start <= kMinPosition) ? kMinPosition : Add(start, delta);
+    Position e = (end >= kMaxPosition) ? kMaxPosition : Add(end, delta);
     return Span{s, e};
   }
 
   /// Extends the end of the span by `k >= 0` positions (used by window
-  /// aggregates whose output outlives the last input record).
+  /// aggregates whose output outlives the last input record), stopping at
+  /// kMaxPosition.
   Span ExtendEnd(int64_t k) const {
     if (IsEmpty()) return Empty();
-    Position e = (end >= kMaxPosition) ? kMaxPosition : end + k;
+    Position e = (end >= kMaxPosition) ? kMaxPosition : Add(end, k);
     return Span{start, e};
   }
 
@@ -84,6 +86,17 @@ struct Span {
 
   /// "[start,end]", "(empty)" or "(unbounded)" for printing.
   std::string ToString() const;
+
+ private:
+  /// `p + delta` clamped into [kMinPosition, kMaxPosition], without
+  /// overflowing for any delta.
+  static Position Add(Position p, int64_t delta) {
+    Position sum = 0;
+    if (__builtin_add_overflow(p, delta, &sum)) {
+      return delta > 0 ? kMaxPosition : kMinPosition;
+    }
+    return std::clamp(sum, kMinPosition, kMaxPosition);
+  }
 };
 
 }  // namespace seq

@@ -135,6 +135,7 @@ Result<BaseSequencePtr> ParseCsvSequence(const std::string& content,
   if (schema_fields.empty()) {
     return Status::InvalidArgument("CSV has only the position column");
   }
+  SEQ_RETURN_IF_ERROR(Schema::CheckDistinctNames(schema_fields));
   SchemaPtr schema = Schema::Make(std::move(schema_fields));
 
   // Parse positions, sort rows by position.

@@ -76,6 +76,16 @@ TEST(CsvTest, Errors) {
   EXPECT_FALSE(LoadCsvSequence("/no/such/file.csv").ok());
 }
 
+TEST(CsvTest, DuplicateHeaderNameIsAStatus) {
+  auto store = ParseCsvSequence("pos,a,a\n1,2,3\n2,4,5\n");
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument)
+      << store.status().ToString();
+  EXPECT_NE(store.status().message().find("duplicate field name 'a'"),
+            std::string::npos)
+      << store.status().ToString();
+}
+
 TEST(CsvTest, RoundTrip) {
   auto store = ParseCsvSequence(
       "pos,close,volume\n1,10.5,100\n3,11.25,250\n");

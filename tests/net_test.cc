@@ -528,6 +528,22 @@ TEST_F(NetTest, BudgetsTravelOverTheWire) {
   EXPECT_EQ(ok->rows.size(), 400u);
 }
 
+// A projection that repeats an output name is outside input: the server
+// answers it with an error and the connection keeps serving.
+TEST_F(NetTest, DuplicateProjectNameIsAnErrorReply) {
+  const std::vector<PosRecord> want = RunLocal(kQuery);
+  auto session = Dial();
+  ASSERT_NE(session, nullptr);
+  auto bad = session->Execute("d = project(ibm, open as x, close as x);");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+      << bad.status().ToString();
+
+  auto reply = session->Execute(kQuery);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ExpectRowsEqual(want, reply->rows);
+}
+
 TEST_F(NetTest, TelemetryAndCommandsOverTheWire) {
   auto session = Dial();
   ASSERT_NE(session, nullptr);

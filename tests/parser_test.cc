@@ -139,6 +139,30 @@ TEST(ParserTest, Errors) {
   EXPECT_EQ(err.status().code(), StatusCode::kParseError);
 }
 
+// Span arithmetic is exact only for shifts and windows inside the position
+// domain: kMaxPosition itself parses, one past it is a ParseError.
+TEST(ParserTest, RejectsMagnitudesPastMaxPosition) {
+  const std::string at = std::to_string(kMaxPosition);
+  const std::string past = std::to_string(kMaxPosition + 1);
+  for (const std::string& form :
+       {std::string("count(s, c, over N)"), std::string("offset(s, N)"),
+        std::string("offset(s, -N)"), std::string("voffset(s, N)"),
+        std::string("voffset(s, -N)"), std::string("collapse(s, N, sum, c)"),
+        std::string("expand(s, N)")}) {
+    auto with = [&form](const std::string& n) {
+      std::string text = "a = " + form + ";";
+      text.replace(text.find('N'), 1, n);
+      return text;
+    };
+    EXPECT_TRUE(ParseSequin(with(at)).ok()) << with(at);
+    auto err = ParseSequin(with(past));
+    ASSERT_FALSE(err.ok()) << with(past);
+    EXPECT_EQ(err.status().code(), StatusCode::kParseError) << with(past);
+  }
+  // Near INT64_MAX, where ExtendEnd(window - 1) would overflow.
+  EXPECT_FALSE(ParseSequin("a = count(s, c, over 9223372036854775806);").ok());
+}
+
 TEST(ParserTest, ErrorMessagesCarryLocation) {
   auto err = ParseSequin("a = select(s,\n   !);");
   ASSERT_FALSE(err.ok());

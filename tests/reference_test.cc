@@ -1,6 +1,7 @@
 // Oracle tests: the optimizing engine's answers must equal the naive
 // reference evaluator's position-by-position computation of the paper's
-// model semantics, for randomized graphs and for targeted operator cases.
+// model semantics, for randomized graphs, for targeted operator cases and
+// for composite-event patterns written in Sequin.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "core/engine.h"
 #include "exec/stream_session.h"
 #include "obs/metrics.h"
+#include "parser/parser.h"
 #include "tests/reference_eval.h"
 #include "tests/test_util.h"
 
@@ -218,6 +220,170 @@ TEST(ComposeOracleTest, JoinPredicateMatchesReference) {
   ASSERT_TRUE(oracle.ok());
   ExpectSameRecords(engine_result->records, *oracle, "compose-pred");
 }
+
+// ---------------------------------------------------------------------------
+// Composite-event patterns as Sequin views. Step k matches at position i
+// iff its kind occurs at i and step k-1 matched at some j with
+// i - gap_k <= j < i. Each step composes a selection with the previous
+// step's matches counted over a trailing window of gap_k and shifted back
+// one position; WindowAgg emits only where its window is non-empty, so the
+// positional join is the existence test. The random-graph oracle does not
+// generate this nesting.
+// ---------------------------------------------------------------------------
+
+using Events = std::vector<std::pair<Position, std::string>>;
+/// (kind, gap) per step; the first step's gap is unused.
+using Steps = std::vector<std::pair<std::string, int64_t>>;
+
+std::string PatternSequin(const Steps& steps) {
+  std::string text =
+      "m0 = select(events, kind == \"" + steps[0].first + "\");\n";
+  for (size_t k = 1; k < steps.size(); ++k) {
+    text += "m" + std::to_string(k) +
+            " = project(compose(select(events, kind == \"" + steps[k].first +
+            "\"), offset(count(m" + std::to_string(k - 1) + ", kind, over " +
+            std::to_string(steps[k].second) + "), -1)), kind);\n";
+  }
+  return text;
+}
+
+// Brute-force oracle: dynamic-programming match over the raw event list.
+std::vector<Position> BruteForceMatches(const Events& events,
+                                        const Steps& steps) {
+  // match[k] = positions where step k matched.
+  std::vector<std::vector<Position>> match(steps.size());
+  for (const auto& [pos, kind] : events) {
+    if (kind == steps[0].first) match[0].push_back(pos);
+  }
+  for (size_t k = 1; k < steps.size(); ++k) {
+    for (const auto& [pos, kind] : events) {
+      if (kind != steps[k].first) continue;
+      for (Position j : match[k - 1]) {
+        if (j < pos && j >= pos - steps[k].second) {
+          match[k].push_back(pos);
+          break;
+        }
+      }
+    }
+  }
+  return match.back();
+}
+
+BaseSequencePtr EventStore() {
+  return std::make_shared<BaseSequenceStore>(
+      Schema::Make({Field{"kind", TypeId::kString}}), 8);
+}
+
+std::vector<Position> PositionsOf(const std::vector<PosRecord>& rows) {
+  std::vector<Position> out;
+  for (const PosRecord& pr : rows) out.push_back(pr.pos);
+  return out;
+}
+
+/// Runs the pattern over the whole history (engine against the brute-force
+/// matcher and the reference), then feeds the same events to one
+/// StreamSession in batches of `batch`: after each Poll, the rows emitted
+/// so far must be exactly the matches among the events appended so far.
+void ExpectPatternMatches(const Events& events, const Steps& steps,
+                          size_t batch, const std::string& label) {
+  Engine engine;
+  BaseSequencePtr store = EventStore();
+  for (const auto& [pos, kind] : events) {
+    ASSERT_TRUE(store->Append(pos, Record{Value::String(kind)}).ok());
+  }
+  ASSERT_TRUE(engine.RegisterBase("events", store).ok());
+  auto graph = ParseSequinQuery(PatternSequin(steps));
+  ASSERT_TRUE(graph.ok()) << graph.status();
+
+  const Position last = events.back().first;
+  const Span range = Span::Of(0, last + 20);
+  auto history = engine.Run({*graph, range});
+  ASSERT_TRUE(history.ok()) << history.status();
+  EXPECT_EQ(PositionsOf(history->records), BruteForceMatches(events, steps))
+      << label;
+  ReferenceEvaluator reference(&engine.catalog(), Span::Of(-20, last + 20));
+  auto oracle = reference.Materialize(**graph, range);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  ExpectSameRecords(history->records, *oracle, label);
+
+  Engine live;
+  ASSERT_TRUE(live.RegisterBase("events", EventStore()).ok());
+  StreamSession session(&live.catalog(), (*graph)->Clone());
+  std::vector<PosRecord> emitted;
+  for (size_t begin = 0; begin < events.size(); begin += batch) {
+    const size_t end = std::min(events.size(), begin + batch);
+    for (size_t e = begin; e < end; ++e) {
+      ASSERT_TRUE(session
+                      .Append("events", events[e].first,
+                              Record{Value::String(events[e].second)})
+                      .ok());
+    }
+    auto fresh = session.Poll();
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    emitted.insert(emitted.end(), fresh->begin(), fresh->end());
+    const Events appended(events.begin(), events.begin() + end);
+    ASSERT_EQ(PositionsOf(emitted), BruteForceMatches(appended, steps))
+        << label << " after " << end << " events";
+  }
+  ExpectSameRecords(emitted, *oracle, "stream " + label);
+}
+
+TEST(PatternTest, TwoStepWithinGap) {
+  // a@1, b@3 (gap 2 after a), b@10 (too far), a@12, b@13.
+  const Events events = {{1, "a"}, {3, "b"}, {10, "b"}, {12, "a"}, {13, "b"}};
+  const Steps steps = {{"a", 0}, {"b", 3}};
+  EXPECT_EQ(BruteForceMatches(events, steps), (std::vector<Position>{3, 13}));
+  ExpectPatternMatches(events, steps, 2, "a then b within 3");
+}
+
+TEST(PatternTest, GapIsStrictlyAfter) {
+  // a and b at the same position do NOT chain (a step requires j < i).
+  const Events events = {{5, "a"}, {6, "b"}};
+  const Steps same = {{"a", 0}, {"a", 5}};
+  EXPECT_TRUE(BruteForceMatches(events, same).empty());
+  ExpectPatternMatches(events, same, 1, "a then a within 5");
+  const Steps next = {{"a", 0}, {"b", 1}};
+  EXPECT_EQ(BruteForceMatches(events, next), (std::vector<Position>{6}));
+  ExpectPatternMatches(events, next, 1, "a then b within 1");
+}
+
+TEST(PatternTest, ThreeStepFraudShape) {
+  // Two failed logins within 10 of each other, then a transfer within 100.
+  const Events events = {{1, "login_fail"},
+                         {5, "login_fail"},    // chains with @1
+                         {50, "transfer"},     // within 100 of @5
+                         {300, "login_fail"},
+                         {400, "transfer"}};   // no 2nd fail near 300
+  const Steps steps = {
+      {"login_fail", 0}, {"login_fail", 10}, {"transfer", 100}};
+  EXPECT_EQ(BruteForceMatches(events, steps), (std::vector<Position>{50}));
+  ExpectPatternMatches(events, steps, 2, "fraud shape");
+}
+
+class PatternOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PatternOracleTest, SequinPatternMatchesBruteForce) {
+  Rng rng(GetParam());
+  const char* kinds[] = {"a", "b", "c"};
+  Events events;
+  Position p = 0;
+  for (int i = 0; i < 120; ++i) {
+    p += rng.UniformInt(1, 6);
+    events.emplace_back(p, kinds[rng.UniformInt(0, 2)]);
+  }
+  for (int trial = 0; trial < 4; ++trial) {
+    const int64_t g1 = rng.UniformInt(1, 12);
+    const int64_t g2 = rng.UniformInt(1, 12);
+    const size_t batch = static_cast<size_t>(rng.UniformInt(1, 40));
+    ExpectPatternMatches(events, {{"a", 0}, {"b", g1}, {"c", g2}}, batch,
+                         "g1=" + std::to_string(g1) +
+                             " g2=" + std::to_string(g2) +
+                             " batch=" + std::to_string(batch));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PatternOracleTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace seq

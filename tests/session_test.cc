@@ -146,6 +146,23 @@ TEST(SessionTest, RedefinitionAndShadowingRejected) {
   EXPECT_EQ(shadow.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(SessionTest, DuplicateProjectNamesRejected) {
+  LocalSession session;
+  ASSERT_TRUE(session.Command({"gen", "ibm", "1", "400", "1.0", "7"}).ok());
+  for (const char* text : {"d1 = project(ibm, open as x, close as x);",
+                           "d2 = project(ibm, open as close, close);"}) {
+    auto reply = session.Execute(text);
+    ASSERT_FALSE(reply.ok()) << text;
+    EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(reply.status().message().find("duplicate field name"),
+              std::string::npos)
+        << reply.status().ToString();
+  }
+  auto after = session.Execute(kQuery);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ExpectRowsEqual(RunReference(kQuery), after->rows);
+}
+
 TEST(SessionTest, SessionViewsAreScopedPerSession) {
   Engine engine;
   std::shared_mutex gate;

@@ -81,6 +81,26 @@ TEST(SpanTest, ShiftKeepsSentinelsSticky) {
   EXPECT_EQ(shifted.end, 110);
 }
 
+// Offsets nest: a bound shifted past a sentinel stops at it instead of
+// overflowing (or leaving a start beyond the end).
+TEST(SpanTest, NestedMaxShiftsClampToTheSentinels) {
+  Span up = Span::Of(1, 100);
+  Span down = Span::Of(1, 100);
+  Span extended = Span::Of(1, 100);
+  for (int i = 0; i < 4; ++i) {
+    up = up.Shift(kMaxPosition);
+    down = down.Shift(-kMaxPosition);
+    extended = extended.ExtendEnd(kMaxPosition);
+  }
+  EXPECT_EQ(up, Span::Of(kMaxPosition, kMaxPosition));
+  EXPECT_EQ(down, Span::Of(kMinPosition, kMinPosition));
+  EXPECT_EQ(extended, Span::Of(1, kMaxPosition));
+  EXPECT_EQ(Span::Of(1, 100).Shift(INT64_MAX),
+            Span::Of(kMaxPosition, kMaxPosition));
+  EXPECT_EQ(Span::Of(1, 100).Shift(INT64_MIN),
+            Span::Of(kMinPosition, kMinPosition));
+}
+
 TEST(SpanTest, ExtendEnd) {
   EXPECT_EQ(Span::Of(1, 5).ExtendEnd(3), Span::Of(1, 8));
   EXPECT_TRUE(Span::Empty().ExtendEnd(3).IsEmpty());
@@ -167,11 +187,21 @@ TEST(SchemaTest, FieldIndexErrors) {
 
 TEST(SchemaTest, ProjectReordersAndRenames) {
   SchemaPtr s = TwoFields();
-  SchemaPtr p = s->Project({1, 0}, {"bee", ""});
-  ASSERT_EQ(p->num_fields(), 2u);
-  EXPECT_EQ(p->field(0).name, "bee");
-  EXPECT_EQ(p->field(0).type, TypeId::kDouble);
-  EXPECT_EQ(p->field(1).name, "a");
+  auto p = s->Project({1, 0}, {"bee", ""});
+  ASSERT_TRUE(p.ok()) << p.status();
+  ASSERT_EQ((*p)->num_fields(), 2u);
+  EXPECT_EQ((*p)->field(0).name, "bee");
+  EXPECT_EQ((*p)->field(0).type, TypeId::kDouble);
+  EXPECT_EQ((*p)->field(1).name, "a");
+}
+
+TEST(SchemaTest, ProjectRejectsRepeatedNames) {
+  SchemaPtr s = TwoFields();
+  auto renamed = s->Project({0, 1}, {"x", "x"});
+  ASSERT_FALSE(renamed.ok());
+  EXPECT_EQ(renamed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(s->Project({0, 0}).ok());
+  EXPECT_TRUE(Schema::CheckDistinctNames(s->fields()).ok());
 }
 
 TEST(SchemaTest, ConcatWithoutClash) {
